@@ -6,7 +6,10 @@
 // between unsynchronized stages, and alternative schedule choices.
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "colop/ir/program.h"
 #include "colop/model/machine.h"
@@ -41,8 +44,23 @@ struct SimRunResult {
                                          const model::Machine& mach,
                                          SimSchedules sched = {});
 
+/// One replay step of run_on_simnet: a single stage, or a whole
+/// istart..wait overlap window priced as one unit.
+struct SimSpan {
+  std::size_t first = 0;      ///< index of the first stage covered
+  std::size_t last = 0;       ///< index of the last stage (a window's wait)
+  std::string label;          ///< stage->show(), or "overlap{...}"
+  std::vector<double> start;  ///< per-processor clock before the step
+  std::vector<double> end;    ///< per-processor clock after the step
+  [[nodiscard]] bool window() const noexcept { return last > first; }
+};
+
 /// As above but on an existing machine (clocks accumulate across calls).
+/// With `on_span`, every step sets the machine's trace label to its span
+/// label and is reported after it runs — the per-stage view the timeline
+/// and the profiler draw.
 void run_on_simnet(const ir::Program& prog, simnet::SimMachine& mach, double m,
-                   SimSchedules sched = {});
+                   SimSchedules sched = {},
+                   const std::function<void(const SimSpan&)>& on_span = {});
 
 }  // namespace colop::exec

@@ -15,31 +15,27 @@
 
 namespace colop::exec {
 
-/// One stage's execution interval on every processor.
-struct StageSpan {
-  std::string label;
-  std::vector<double> start;  ///< per-processor start time
-  std::vector<double> end;    ///< per-processor completion time
-};
-
 struct SimTrace {
-  std::vector<StageSpan> spans;
+  std::vector<SimSpan> spans;
   double makespan = 0;
   int procs = 0;
 };
 
-/// Execute stage by stage on a fresh SimMachine, snapshotting the clocks
-/// around every stage.  If `machine_sink` is given it is attached to the
-/// SimMachine, so every simulated send/recv/exchange/compute is emitted as
-/// a complete event (simulated timestamps) labeled with the stage it
-/// belongs to — the fine-grained view underneath the stage spans.
+/// Replay `prog` on a fresh SimMachine through run_on_simnet, keeping the
+/// span of every step (one per stage, one per istart..wait overlap window),
+/// so the trace's makespan is run_on_simnet's time.  If `machine_sink` is
+/// given it is attached to the SimMachine, so every simulated
+/// send/recv/exchange/compute is emitted as a complete event (simulated
+/// timestamps) labeled with the span it belongs to — the fine-grained view
+/// underneath the stage spans.
 [[nodiscard]] SimTrace trace_on_simnet(const ir::Program& prog,
                                        const model::Machine& mach,
                                        SimSchedules sched = {},
                                        obs::Sink* machine_sink = nullptr);
 
 /// Convert the per-stage spans to obs events (Phase::complete, tid = the
-/// processor, ts/dur in simulated op units).
+/// processor, ts/dur in simulated op units), each with a "stage" arg (the
+/// first stage index of its span) and "overlapped" on window spans.
 [[nodiscard]] std::vector<obs::Event> trace_events(const SimTrace& trace);
 
 /// Export a stage trace as Chrome trace-event JSON (chrome://tracing,

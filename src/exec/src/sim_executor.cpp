@@ -45,8 +45,12 @@ void sim_stage(const ir::Stage& stage, simnet::SimMachine& mach, double m,
           stage.kind() == Kind::Reduce
               ? static_cast<const ir::ReduceStage&>(stage).op->ops_cost()
               : static_cast<const ir::IStartReduceStage&>(stage).op->ops_cost();
+      const int root =
+          stage.kind() == Kind::Reduce
+              ? static_cast<const ir::ReduceStage&>(stage).root
+              : static_cast<const ir::IStartReduceStage&>(stage).root;
       if (sched.reduce == SimSchedules::Reduce::binomial)
-        simnet::reduce_binomial(mach, m, words, ops);
+        simnet::reduce_binomial(mach, m, words, ops, root);
       else if (sched.reduce == SimSchedules::Reduce::vdg)
         simnet::allreduce_vdg(mach, m, words, ops);
       else
@@ -103,7 +107,7 @@ void sim_stage(const ir::Stage& stage, simnet::SimMachine& mach, double m,
     }
     case Kind::ReduceBalanced: {
       const auto& s = static_cast<const ir::ReduceBalancedStage&>(stage);
-      simnet::reduce_balanced(mach, m, s.op.words, s.op.ops_cost);
+      simnet::reduce_balanced(mach, m, s.op.words, s.op.ops_cost, s.root);
       break;
     }
     case Kind::AllReduceBalanced: {
@@ -142,33 +146,53 @@ double local_ops(const ir::Stage& stage, int rank) {
 }  // namespace
 
 void run_on_simnet(const ir::Program& prog, simnet::SimMachine& mach, double m,
-                   SimSchedules sched) {
+                   SimSchedules sched,
+                   const std::function<void(const SimSpan&)>& on_span) {
   const int p = mach.size();
   const auto windows = ir::overlap_windows(prog);
   auto w = windows.begin();
+  auto clocks = [&] {
+    std::vector<double> c(static_cast<std::size_t>(p));
+    for (int r = 0; r < p; ++r) c[static_cast<std::size_t>(r)] = mach.clock(r);
+    return c;
+  };
   std::size_t i = 0;
-  std::vector<double> issue(static_cast<std::size_t>(p));
   while (i < prog.size()) {
-    if (w != windows.end() && i == w->istart) {
-      // Overlap window: simulate the collective, then raise every rank's
-      // clock to at least issue-time + its interior local work.  The
-      // window's span per rank becomes max(comm, local) — the pipelined
-      // executor's behaviour — instead of the synchronous sum.
-      for (int r = 0; r < p; ++r)
-        issue[static_cast<std::size_t>(r)] = mach.clock(r);
-      sim_stage(prog.stage(w->istart), mach, m, sched);
+    const bool in_window = w != windows.end() && i == w->istart;
+    SimSpan span;
+    span.first = i;
+    span.last = in_window ? w->wait : i;
+    if (on_span) {
+      if (in_window) {
+        ir::Program piece;
+        for (std::size_t j = i; j <= span.last; ++j)
+          piece.push(prog.stages()[j]);
+        span.label = "overlap{" + piece.show() + "}";
+      } else {
+        span.label = prog.stage(i).show();
+      }
+      mach.set_trace_label(span.label);
+    }
+    if (in_window || on_span) span.start = clocks();
+    sim_stage(prog.stage(i), mach, m, sched);
+    if (in_window) {
+      // Overlap window: the collective has run; raise every rank's clock to
+      // at least issue-time + its interior local work.  The window's span
+      // per rank becomes max(comm, local) — the pipelined executor's
+      // behaviour — instead of the synchronous sum.
       for (int r = 0; r < p; ++r) {
         double ops = 0;
-        for (std::size_t j = w->istart + 1; j < w->wait; ++j)
+        for (std::size_t j = i + 1; j < span.last; ++j)
           ops += local_ops(prog.stage(j), r);
-        mach.advance_to(r, issue[static_cast<std::size_t>(r)] + m * ops);
+        mach.advance_to(r, span.start[static_cast<std::size_t>(r)] + m * ops);
       }
-      i = w->wait + 1;
       ++w;
-    } else {
-      sim_stage(prog.stage(i), mach, m, sched);
-      ++i;
     }
+    if (on_span) {
+      span.end = clocks();
+      on_span(span);
+    }
+    i = span.last + 1;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "colop/obs/chrome_trace.h"
 
@@ -13,22 +14,8 @@ SimTrace trace_on_simnet(const ir::Program& prog, const model::Machine& mach,
   sim.set_trace_sink(machine_sink);
   SimTrace trace;
   trace.procs = mach.p;
-
-  std::vector<double> before(static_cast<std::size_t>(mach.p), 0.0);
-  for (const auto& stage : prog.stages()) {
-    ir::Program single;
-    single.push(stage);
-    sim.set_trace_label(stage->show());
-    run_on_simnet(single, sim, mach.m, sched);
-    StageSpan span;
-    span.label = stage->show();
-    span.start = before;
-    span.end.resize(static_cast<std::size_t>(mach.p));
-    for (int r = 0; r < mach.p; ++r)
-      span.end[static_cast<std::size_t>(r)] = sim.clock(r);
-    before = span.end;
-    trace.spans.push_back(std::move(span));
-  }
+  run_on_simnet(prog, sim, mach.m, sched,
+                [&](const SimSpan& span) { trace.spans.push_back(span); });
   trace.makespan = sim.makespan();
   return trace;
 }
@@ -46,6 +33,8 @@ std::vector<obs::Event> trace_events(const SimTrace& trace) {
       ev.ts = span.start[ri];
       ev.dur = span.end[ri] - span.start[ri];
       ev.tid = r;
+      ev.args.emplace_back("stage", std::to_string(span.first));
+      if (span.window()) ev.args.emplace_back("overlapped", "1");
       events.push_back(std::move(ev));
     }
   }

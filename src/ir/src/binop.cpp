@@ -16,6 +16,20 @@ Value numeric(const Value& a, const Value& b, IntFn fi, RealFn fr) {
   return Value(fr(a.number(), b.number()));
 }
 
+// The i64 lanes of + and * wrap modulo 2^64 (two's complement), computed
+// in unsigned arithmetic so that overflow is defined behaviour.  The boxed
+// and the packed plane share these, so they agree on every input.  Closures
+// rather than functions, so the packed kernels inline them.
+constexpr auto wrap_add = [](std::int64_t x, std::int64_t y) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) +
+                                   static_cast<std::uint64_t>(y));
+};
+
+constexpr auto wrap_mul = [](std::int64_t x, std::int64_t y) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) *
+                                   static_cast<std::uint64_t>(y));
+};
+
 }  // namespace
 
 BinOpPtr op_add() {
@@ -23,9 +37,8 @@ BinOpPtr op_add() {
       .name = "+",
       .fn =
           [](const Value& a, const Value& b) {
-            return numeric(
-                a, b, [](auto x, auto y) { return x + y; },
-                [](double x, double y) { return x + y; });
+            return numeric(a, b, wrap_add,
+                           [](double x, double y) { return x + y; });
           },
       .associative = true,
       .commutative = true,
@@ -33,8 +46,7 @@ BinOpPtr op_add() {
       .ops_cost = 1.0,
       .unit = Value(std::int64_t{0}),
       .packed_fn = pk::bin_numeric(
-          "+", [](std::int64_t x, std::int64_t y) { return x + y; },
-          [](double x, double y) { return x + y; }),
+          "+", wrap_add, [](double x, double y) { return x + y; }),
   });
   return op;
 }
@@ -44,9 +56,8 @@ BinOpPtr op_mul() {
       .name = "*",
       .fn =
           [](const Value& a, const Value& b) {
-            return numeric(
-                a, b, [](auto x, auto y) { return x * y; },
-                [](double x, double y) { return x * y; });
+            return numeric(a, b, wrap_mul,
+                           [](double x, double y) { return x * y; });
           },
       .associative = true,
       .commutative = true,
@@ -56,8 +67,7 @@ BinOpPtr op_mul() {
       .ops_cost = 1.0,
       .unit = Value(std::int64_t{1}),
       .packed_fn = pk::bin_numeric(
-          "*", [](std::int64_t x, std::int64_t y) { return x * y; },
-          [](double x, double y) { return x * y; }),
+          "*", wrap_mul, [](double x, double y) { return x * y; }),
   });
   return op;
 }

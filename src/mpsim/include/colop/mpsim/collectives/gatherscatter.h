@@ -5,6 +5,7 @@
 // collective-operations library (and the paper's intro: "scatter, etc.")
 // provides these as well.
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -109,22 +110,25 @@ template <typename T>
   if (p == 1) return {std::move(value)};
   const int tag = comm.next_collective_tag();
 
-  // have[j] = value originating at rank (r + j) % p, once known.
-  std::vector<std::pair<int, T>> have;  // (offset j, value)
-  have.push_back({0, std::move(value)});
+  // have[j] = value originating at rank (r + j) % p.  Entering the phase
+  // with distance `step`, a rank holds offsets [0, step), so offsets never
+  // travel: a message carries the sender's first min(step, p - step)
+  // values (the ones the receiver still needs), which land at j + step.
+  std::vector<T> have;
+  have.push_back(std::move(value));
   for (int step = 1; step < p; step <<= 1) {
     const int to = (r - step + p) % p;
     const int from = (r + step) % p;
-    // Only offsets the receiver still needs (j + step < p) are sent.
-    std::vector<std::pair<int, T>> outgoing;
-    for (const auto& [j, v] : have)
-      if (j + step < p) outgoing.push_back({j, v});
+    std::vector<T> outgoing(
+        have.begin(), have.begin() + std::min(step, p - step));
     comm.send_raw(to, std::move(outgoing), tag);
-    auto incoming = comm.recv_raw<std::vector<std::pair<int, T>>>(from, tag);
-    for (auto& [j, v] : incoming) have.push_back({j + step, std::move(v)});
+    for (auto& v : comm.recv_raw<std::vector<T>>(from, tag))
+      have.push_back(std::move(v));
   }
   std::vector<T> result(static_cast<std::size_t>(p));
-  for (auto& [j, v] : have) result[static_cast<std::size_t>((r + j) % p)] = std::move(v);
+  for (int j = 0; j < p; ++j)
+    result[static_cast<std::size_t>((r + j) % p)] =
+        std::move(have[static_cast<std::size_t>(j)]);
   return result;
 }
 

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "colop/exec/timeline.h"
 #include "colop/ir/overlap.h"
 #include "colop/model/cost.h"
 #include "colop/obs/chrome_trace.h"
@@ -206,47 +207,22 @@ Profile profile_program(const ir::Program& prog, const model::Machine& mach,
   sim.set_trace_sink(&sink);
 
   std::vector<Event> machine_events;
-  std::vector<Event> stage_spans;
-  std::vector<double> before(static_cast<std::size_t>(mach.p), 0.0);
+  exec::SimTrace trace;
+  trace.procs = mach.p;
   const auto& stages = prog.stages();
-  // istart..wait windows replay as a unit so run_on_simnet's overlap
-  // discount applies; their machine ops and spans are attributed to the
+  // run_on_simnet replays istart..wait windows as a unit (its overlap
+  // discount applies); their machine ops and spans are attributed to the
   // istart stage and labeled as overlapped.
-  const auto windows = ir::overlap_windows(prog);
-  auto w = windows.begin();
-  for (std::size_t i = 0; i < stages.size();) {
-    const bool in_window = w != windows.end() && i == w->istart;
-    const std::size_t last = in_window ? w->wait : i;
-    ir::Program piece;
-    for (std::size_t j = i; j <= last; ++j) piece.push(stages[j]);
-    std::string label = stages[i]->show();
-    if (in_window) label = "overlap{" + piece.show() + "}";
-    sim.set_trace_label(label);
-    exec::run_on_simnet(piece, sim, mach.m, opts.sched);
+  auto on_step = [&](const exec::SimSpan& step) {
     for (Event e : sink.events()) {
-      e.args.emplace_back("stage", std::to_string(i));
+      e.args.emplace_back("stage", std::to_string(step.first));
       machine_events.push_back(std::move(e));
     }
     sink.clear();
-    for (int r = 0; r < mach.p; ++r) {
-      const double end = sim.clock(r);
-      if (end <= before[static_cast<std::size_t>(r)]) continue;
-      Event span;
-      span.phase = Phase::complete;
-      span.name = label;
-      span.cat = "exec";
-      span.ts = before[static_cast<std::size_t>(r)];
-      span.dur = end - before[static_cast<std::size_t>(r)];
-      span.tid = r;
-      span.args.emplace_back("stage", std::to_string(i));
-      if (in_window) span.args.emplace_back("overlapped", "1");
-      stage_spans.push_back(std::move(span));
-    }
-    for (int r = 0; r < mach.p; ++r)
-      before[static_cast<std::size_t>(r)] = sim.clock(r);
-    if (in_window) ++w;
-    i = last + 1;
-  }
+    trace.spans.push_back(step);
+  };
+  exec::run_on_simnet(prog, sim, mach.m, opts.sched, on_step);
+  const auto windows = ir::overlap_windows(prog);
 
   Profile prof = profile_events(machine_events, mach.p, sim.makespan());
   prof.program = prog.show();
@@ -280,7 +256,7 @@ Profile profile_program(const ir::Program& prog, const model::Machine& mach,
   }
 
   if (opts.keep_events) {
-    prof.events = std::move(stage_spans);
+    prof.events = exec::trace_events(trace);
     for (Event& e : machine_events) {
       e.pid = 1;  // separate process row beneath the stage spans
       prof.events.push_back(std::move(e));

@@ -6,12 +6,18 @@
 // which makes a binomial broadcast cost log p sequential sends at the
 // root, exactly as the paper's estimates assume).
 //
-// The simulator executes the SAME communication schedules as the mpsim
-// thread runtime, but advances virtual per-processor clocks instead of
-// moving data.  It is the substitute for the paper's 64-processor
-// Parsytec wall-clock measurements (DESIGN.md §2): this container has one
-// CPU core, so genuine 64-way timings are impossible, while the virtual
-// clocks reproduce the model the paper itself evaluates against.
+// The schedules in schedules.h replay the communication patterns of the
+// mpsim collective templates, advancing virtual per-processor clocks
+// instead of moving data; tests/test_traffic_differential.cpp checks each
+// against its mpsim twin by message count.  By default simnet prices the
+// butterfly bcast and (all)reduce of the paper's model while the thread
+// executor runs binomial trees, so the two sides agree on time at powers
+// of two but not on message counts.
+//
+// The simulator substitutes for the paper's 64-processor Parsytec
+// wall-clock measurements (DESIGN.md §2): genuine 64-way timings need 64
+// processors, while the virtual clocks reproduce the model the paper
+// itself evaluates against.
 
 #include <cstdint>
 #include <deque>

@@ -1,8 +1,16 @@
 #pragma once
 // Collective-operation schedules on the simulated machine.  Each function
-// executes the same communication pattern as its mpsim counterpart,
+// replays the communication pattern of one mpsim collective template,
 // charging virtual time: one message of (m * w) words per link use and
 // (m * ops) compute units per operator sweep over a block of m elements.
+// tests/test_traffic_differential.cpp runs every schedule here against its
+// mpsim twin on threads and requires the same message count.
+//
+// Defaults differ between the two sides.  exec::run_on_simnet prices the
+// paper's butterfly bcast and butterfly (all)reduce (SimSchedules{}); the
+// thread executor runs mpsim's binomial bcast and binomial reduce.  The
+// makespans agree at every power of two, the message counts do not: a
+// bcast at p = 8 sends 7 messages on threads and 24 in simnet.
 //
 // For p = 2^k the butterfly schedules reproduce the paper's closed forms
 // exactly:  T_bcast  = log p * (ts + m*tw)                    (Eq 15)
@@ -20,6 +28,7 @@
 namespace colop::simnet {
 
 // --- broadcast -----------------------------------------------------------
+/// Rooted schedules require 0 <= root < p, as their mpsim twins do.
 void bcast_binomial(SimMachine& mach, double m, double w, int root = 0);
 void bcast_butterfly(SimMachine& mach, double m, double w, int root = 0);
 /// van de Geijn large-block broadcast: binomial scatter of segments
@@ -34,8 +43,10 @@ void bcast_pipelined(SimMachine& mach, double m, double w, int segments);
 [[nodiscard]] int optimal_segments(int p, double m, double ts, double tw);
 
 // --- reduction -----------------------------------------------------------
-/// Binomial-tree reduce to rank 0 (MPICH-like): ops per element per level.
-void reduce_binomial(SimMachine& mach, double m, double w, double ops);
+/// Binomial-tree reduce to rank 0 (MPICH-like): ops per element per level;
+/// a root other than 0 costs one more hop from rank 0.
+void reduce_binomial(SimMachine& mach, double m, double w, double ops,
+                     int root = 0);
 /// Butterfly (recursive-doubling) allreduce; the paper's model for both
 /// reduce and allreduce.  Handles non-powers of two with the same
 /// order-preserving pre/post fold as mpsim::allreduce.
@@ -49,11 +60,14 @@ void scan_butterfly(SimMachine& mach, double m, double w, double ops);
 void scan_doubling(SimMachine& mach, double m, double w, double ops);
 
 // --- the paper's balanced collectives -------------------------------------
-/// reduce_balanced over the unique balanced tree (rule SR-Reduction).
-void reduce_balanced(SimMachine& mach, double m, double w, double ops);
+/// reduce_balanced over the unique balanced tree (rule SR-Reduction); a
+/// root other than 0 costs one more hop from rank 0.
+void reduce_balanced(SimMachine& mach, double m, double w, double ops,
+                     int root = 0);
 /// scan_balanced butterfly (rule SS-Scan): one op2 sweep per phase.
 void scan_balanced(SimMachine& mach, double m, double w, double ops);
-/// allreduce_balanced: butterfly for 2^k, reduce_balanced + bcast otherwise.
+/// allreduce_balanced: butterfly for 2^k, reduce_balanced + binomial bcast
+/// otherwise.
 void allreduce_balanced(SimMachine& mach, double m, double w, double ops);
 
 // --- comcast (Section 3.4) -------------------------------------------------

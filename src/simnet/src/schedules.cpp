@@ -11,10 +11,19 @@ namespace {
 using colop::is_pow2;
 using colop::log2_floor;
 
+// The trees reduce toward rank 0; a reduction to another root ships the
+// result one extra hop, as mpsim::reduce does.
+void forward_to_root(SimMachine& mach, double words, int root) {
+  if (root == 0) return;
+  mach.send(0, root, words);
+  mach.recv(root, 0);
+}
+
 }  // namespace
 
 void bcast_binomial(SimMachine& mach, double m, double w, int root) {
   const int p = mach.size();
+  COLOP_REQUIRE(root >= 0 && root < p, "bcast: invalid root");
   const double words = m * w;
   for (int mask = 1; mask < p; mask <<= 1) {
     for (int vr = 0; vr < mask; ++vr) {
@@ -29,6 +38,7 @@ void bcast_binomial(SimMachine& mach, double m, double w, int root) {
 
 void bcast_butterfly(SimMachine& mach, double m, double w, int root) {
   const int p = mach.size();
+  COLOP_REQUIRE(root >= 0 && root < p, "bcast: invalid root");
   const double words = m * w;
   for (int k = 0; (1 << k) < p; ++k) {
     for (int vr = 0; vr < p; ++vr) {
@@ -122,8 +132,10 @@ void allreduce_vdg(SimMachine& mach, double m, double w, double ops) {
   }
 }
 
-void reduce_binomial(SimMachine& mach, double m, double w, double ops) {
+void reduce_binomial(SimMachine& mach, double m, double w, double ops,
+                     int root) {
   const int p = mach.size();
+  COLOP_REQUIRE(root >= 0 && root < p, "reduce: invalid root");
   const double words = m * w;
   for (int mask = 1; mask < p; mask <<= 1) {
     for (int r = 0; r < p; ++r) {
@@ -134,6 +146,7 @@ void reduce_binomial(SimMachine& mach, double m, double w, double ops) {
       mach.compute(r, m * ops);
     }
   }
+  forward_to_root(mach, words, root);
 }
 
 void allreduce_butterfly(SimMachine& mach, double m, double w, double ops) {
@@ -196,8 +209,10 @@ void scan_doubling(SimMachine& mach, double m, double w, double ops) {
   }
 }
 
-void reduce_balanced(SimMachine& mach, double m, double w, double ops) {
+void reduce_balanced(SimMachine& mach, double m, double w, double ops,
+                     int root) {
   const int p = mach.size();
+  COLOP_REQUIRE(root >= 0 && root < p, "reduce_balanced: invalid root");
   const double words = m * w;
   const auto tree = mpsim::BalancedTree::build(p);
   for (const int ni : tree.internal_by_height()) {
@@ -211,6 +226,7 @@ void reduce_balanced(SimMachine& mach, double m, double w, double ops) {
     mach.recv(node.owner(), right_owner);
     mach.compute(node.owner(), m * ops);
   }
+  forward_to_root(mach, words, root);
 }
 
 void scan_balanced(SimMachine& mach, double m, double w, double ops) {
@@ -242,7 +258,7 @@ void allreduce_balanced(SimMachine& mach, double m, double w, double ops) {
     return;
   }
   reduce_balanced(mach, m, w, ops);
-  bcast_butterfly(mach, m, w);
+  bcast_binomial(mach, m, w);
 }
 
 void comcast_repeat(SimMachine& mach, double m, double w, double ops_per_level,

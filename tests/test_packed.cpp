@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 
 #include "colop/exec/thread_executor.h"
 #include "colop/ir/packed.h"
@@ -169,6 +170,23 @@ TEST(PackedKernels, StandardOpsAgreeWithBoxed) {
     const PackedBlock out = op->packed()(*pa, *pb);
     EXPECT_EQ(out.unpack(), boxed_apply2(*op, a, b)) << op->name();
   }
+}
+
+TEST(PackedKernels, IntegerOverflowWrapsAlikeOnBothPlanes) {
+  // The i64 lanes of + and * wrap modulo 2^64 on both planes: defined
+  // behaviour, so sanitizer builds stay clean on overflowing inputs.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const Block a{Value(kMax), Value(kMax)};
+  const Block one_two{Value(std::int64_t{1}), Value(std::int64_t{2})};
+  const auto pa = PackedBlock::pack(a), pb = PackedBlock::pack(one_two);
+  ASSERT_TRUE(pa && pb);
+  const Block sum = boxed_apply2(*op_add(), a, one_two);
+  EXPECT_EQ(sum[0], Value(std::numeric_limits<std::int64_t>::min()));
+  EXPECT_EQ(op_add()->packed()(*pa, *pb).unpack(), sum);
+  const Block product = boxed_apply2(*op_mul(), a, one_two);
+  EXPECT_EQ(product[0], Value(kMax));
+  EXPECT_EQ(product[1], Value(std::int64_t{-2}));
+  EXPECT_EQ(op_mul()->packed()(*pa, *pb).unpack(), product);
 }
 
 TEST(PackedKernels, RealAndPromotedOpsAgreeWithBoxed) {

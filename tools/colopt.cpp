@@ -647,7 +647,6 @@ int main(int argc, char** argv) {
       std::cout << "search report written to " << search_report_json << "\n\n";
     }
 
-    int verify_exit = 0;
     std::optional<verify::VerifyResult> vres;
     if (verify) {
       verify::VerifyOptions vopts;
@@ -662,7 +661,10 @@ int main(int argc, char** argv) {
         std::cout << "verification report written to " << verify_json << "\n";
       }
       std::cout << "\n";
-      verify_exit = vres->exit_code();
+      // An unsound schedule stops at the report with exit 3: it is neither
+      // simulated nor run (an out-of-range root names a rank neither side
+      // has).
+      if (const int code = vres->exit_code(); code != 0) return code;
     }
 
     Table t("prediction", {"version", "analytic cost", "simnet time",
@@ -683,8 +685,11 @@ int main(int argc, char** argv) {
       tl.p = std::min(tl.p, 16);
       const auto tb = exec::trace_on_simnet(program, tl);
       const auto ta = exec::trace_on_simnet(result.program, tl);
+      // The after chart shares the before chart's axis, so its own
+      // makespan goes in the heading.
       std::cout << "\nbefore (p=" << tl.p << "):\n"
-                << exec::render_timeline(tb, 72) << "\nafter:\n"
+                << exec::render_timeline(tb, 72) << "\nafter (t="
+                << ta.makespan << "):\n"
                 << exec::render_timeline(ta, 72, tb.makespan);
     }
 
@@ -1099,7 +1104,7 @@ int main(int argc, char** argv) {
       }
       server->wait();
     }
-    return verify_exit;  // 0, or 3 when --verify found the run unsound
+    return 0;
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
