@@ -236,12 +236,19 @@ BinOpPtr op_mat2() {
             const auto& x = a.as_tuple();
             const auto& y = b.as_tuple();
             COLOP_REQUIRE(x.size() == 4 && y.size() == 4, "mat2: need 4-tuples");
-            const auto e = [](const Tuple& t, int i) { return t[static_cast<std::size_t>(i)].as_int(); };
+            // Entries wrap modulo 2^64 like the i64 lanes of + and *.
+            const auto e = [](const Tuple& t, int i) {
+              return static_cast<std::uint64_t>(
+                  t[static_cast<std::size_t>(i)].as_int());
+            };
+            const auto v = [](std::uint64_t u) {
+              return Value(static_cast<std::int64_t>(u));
+            };
             return Value(Tuple{
-                Value(e(x, 0) * e(y, 0) + e(x, 1) * e(y, 2)),
-                Value(e(x, 0) * e(y, 1) + e(x, 1) * e(y, 3)),
-                Value(e(x, 2) * e(y, 0) + e(x, 3) * e(y, 2)),
-                Value(e(x, 2) * e(y, 1) + e(x, 3) * e(y, 3)),
+                v(e(x, 0) * e(y, 0) + e(x, 1) * e(y, 2)),
+                v(e(x, 0) * e(y, 1) + e(x, 1) * e(y, 3)),
+                v(e(x, 2) * e(y, 0) + e(x, 3) * e(y, 2)),
+                v(e(x, 2) * e(y, 1) + e(x, 3) * e(y, 3)),
             });
           },
       .associative = true,

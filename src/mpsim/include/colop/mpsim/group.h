@@ -61,7 +61,7 @@ class Group {
 
  private:
   int size_;
-  rt::Fleet fleet_;  // before mailboxes_: they hold pointers into it
+  rt::Fleet fleet_;  // before mailboxes_ and stats_: they point into it
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   TrafficStats stats_;
   std::atomic<bool> aborted_{false};

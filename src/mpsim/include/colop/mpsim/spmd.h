@@ -49,8 +49,7 @@ void run_spmd_impl(int nprocs, Body&& body,
         Comm comm(group, r);
         try {
           body(comm);
-          if (rt::RankStats* st = group->fleet().stats(r))
-            st->done.store(1, std::memory_order_release);
+          group->fleet().stats(r)->done.store(1, std::memory_order_release);
         } catch (...) {
           errors[static_cast<std::size_t>(r)] = std::current_exception();
           group->abort();

@@ -5,15 +5,17 @@
 // direct observable).
 //
 // Counters are sharded per rank: every rank owns a cache-line-aligned slot
-// it updates with relaxed atomics, so p concurrently communicating threads
-// never contend on one cache line and no increment can be lost (the
-// regression tests pin exact counts under concurrent collectives).
-// snapshot() sums the shards; per-rank snapshots give the attribution the
-// observability layer exports.
+// (rt::RankStats) it updates with relaxed atomics, so p concurrently
+// communicating threads never contend on one cache line and no increment
+// can be lost (the regression tests pin exact counts under concurrent
+// collectives).  snapshot() sums the shards; per-rank snapshots give the
+// attribution the observability layer exports.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+
+#include "colop/rt/flight_recorder.h"
 
 namespace colop::mpsim {
 
@@ -31,62 +33,46 @@ struct TrafficCounters {
   friend bool operator==(const TrafficCounters&, const TrafficCounters&) = default;
 };
 
-/// Thread-safe accumulating counters shared by all ranks of a group,
-/// sharded per sending rank.
+/// A group's per-rank traffic counters.  The storage is the rt::Fleet's
+/// RankStats slots (sends, send_bytes): Comm::send_raw counts each message
+/// there once, recorder on or off, and this view sums them.
 class TrafficStats {
  public:
-  /// `ranks`: number of shards (the group size).  Rank r records into
-  /// shard r; out-of-range ranks fall back to shard 0 so the aggregate is
-  /// never lost.
-  explicit TrafficStats(int ranks = 1)
-      : slots_(static_cast<std::size_t>(ranks < 1 ? 1 : ranks)) {}
+  explicit TrafficStats(rt::Fleet& fleet) noexcept : fleet_(&fleet) {}
 
+  /// Count one message from `rank`; out-of-range ranks fall back to the
+  /// fleet's shard 0 so the aggregate is never lost.
   void record_send(int rank, std::size_t bytes) noexcept {
-    Slot& s = slots_[shard(rank)];
-    s.messages.fetch_add(1, std::memory_order_relaxed);
-    s.bytes.fetch_add(bytes, std::memory_order_relaxed);
+    rt::RankStats& s = *fleet_->stats(rank);
+    s.sends.fetch_add(1, std::memory_order_relaxed);
+    s.send_bytes.fetch_add(bytes, std::memory_order_relaxed);
   }
 
-  [[nodiscard]] int ranks() const noexcept {
-    return static_cast<int>(slots_.size());
-  }
+  [[nodiscard]] int ranks() const noexcept { return fleet_->ranks(); }
 
   /// Aggregate over all ranks.
   [[nodiscard]] TrafficCounters snapshot() const noexcept {
     TrafficCounters total;
-    for (const Slot& s : slots_) {
-      total.messages += s.messages.load(std::memory_order_relaxed);
-      total.bytes += s.bytes.load(std::memory_order_relaxed);
-    }
+    for (int r = 0; r < ranks(); ++r) total = total + snapshot(r);
     return total;
   }
 
   /// One sending rank's share.
   [[nodiscard]] TrafficCounters snapshot(int rank) const noexcept {
-    const Slot& s = slots_[shard(rank)];
-    return {s.messages.load(std::memory_order_relaxed),
-            s.bytes.load(std::memory_order_relaxed)};
+    const rt::RankStats& s = *fleet_->stats(rank);
+    return {s.sends.load(std::memory_order_relaxed),
+            s.send_bytes.load(std::memory_order_relaxed)};
   }
 
   void reset() noexcept {
-    for (Slot& s : slots_) {
-      s.messages.store(0, std::memory_order_relaxed);
-      s.bytes.store(0, std::memory_order_relaxed);
+    for (int r = 0; r < ranks(); ++r) {
+      fleet_->stats(r)->sends.store(0, std::memory_order_relaxed);
+      fleet_->stats(r)->send_bytes.store(0, std::memory_order_relaxed);
     }
   }
 
  private:
-  // 64-byte alignment keeps each rank's counters on their own cache line.
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> messages{0};
-    std::atomic<std::uint64_t> bytes{0};
-  };
-
-  [[nodiscard]] std::size_t shard(int rank) const noexcept {
-    return rank > 0 && rank < ranks() ? static_cast<std::size_t>(rank) : 0;
-  }
-
-  std::vector<Slot> slots_;
+  rt::Fleet* fleet_;
 };
 
 }  // namespace colop::mpsim

@@ -7,15 +7,14 @@ namespace colop::mpsim {
 Group::Group(int size)
     : size_(size),
       fleet_(size, rt::config()),
-      stats_(size),
+      stats_(fleet_),
       split_slots_(static_cast<std::size_t>(size), {-1, 0}) {
   COLOP_REQUIRE(size >= 1, "mpsim: group size must be >= 1");
   mailboxes_.reserve(static_cast<std::size_t>(size));
   for (int i = 0; i < size; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
     mailboxes_.back()->set_abort_flag(&aborted_);
-    mailboxes_.back()->set_telemetry(fleet_.stats(i));
-    mailboxes_.back()->set_live_rank(i);
+    if (fleet_.enabled()) mailboxes_.back()->set_telemetry(fleet_.stats(i));
   }
 }
 

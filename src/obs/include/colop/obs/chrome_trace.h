@@ -31,11 +31,10 @@ void write_chrome_trace(const std::vector<Event>& events, std::ostream& os,
                         const std::string& tid_prefix = "P",
                         const std::map<int, std::string>& pid_names = {});
 
-/// Sink that buffers events and writes the trace JSON on flush()/write().
+/// Sink that buffers events and writes the trace JSON on write().
 class ChromeTraceSink : public Sink {
  public:
-  /// Events accumulate in memory; call write() (or install via ScopedSink,
-  /// whose destructor flushes) to emit the document.
+  /// Events accumulate in memory; call write() to emit the document.
   explicit ChromeTraceSink(std::string process_name = "colop")
       : process_name_(std::move(process_name)) {}
 

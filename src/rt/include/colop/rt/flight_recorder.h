@@ -21,7 +21,13 @@
 //
 // Enablement is layered: compile out entirely with -DCOLOP_RT_DISABLE
 // (every call site folds to nothing behind `if (recorder == nullptr)`),
-// or disable at runtime with COLOP_RT=0 (no ring is ever allocated).
+// or disable at runtime with COLOP_RT=0 (no ring is ever allocated).  The
+// per-rank RankStats slots exist either way: they are the one place a
+// send is counted, so traffic stays exact with the recorder off.
+//
+// Live monitoring (rt/live.h) is one more consumer: while an rt::LiveSampler
+// exists, every enabled Fleet registers with it and hands over the records
+// its sampler has not yet drained when it is destroyed.
 
 #include <atomic>
 #include <chrono>
@@ -89,7 +95,9 @@ struct Record {
 };
 
 /// Per-rank counters updated with relaxed atomics on the hot path and read
-/// by the watchdog/report side.  One cache line per rank.
+/// by the watchdog/report side.  One cache line per rank.  sends and
+/// send_bytes are counted on every send, recorder on or off (the group's
+/// traffic totals read them).
 struct alignas(64) RankStats {
   std::atomic<std::uint64_t> sends{0};
   std::atomic<std::uint64_t> send_bytes{0};
@@ -108,6 +116,7 @@ struct alignas(64) RankStats {
   std::atomic<std::uint64_t> last_event_ns{0};
   std::atomic<std::uint8_t> blocked{0};  ///< 1 while waiting in recv/barrier
   std::atomic<std::uint8_t> done{0};     ///< rank body returned
+  std::atomic<std::uint8_t> stalled{0};  ///< the watchdog's verdict
 };
 
 /// Plain-value snapshot of RankStats.
@@ -180,9 +189,15 @@ class Recorder {
 
   [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
 
-  /// Consistent copy of the retained window, oldest first.  Records the
-  /// producer overwrote while we copied are discarded, so every returned
-  /// record is intact.  Any thread.
+  /// Append the records in [cursor, head) to `out`, oldest first, and
+  /// advance `cursor` to head.  Records the producer lapped — before the
+  /// copy or while it ran — are discarded and added to `dropped`, so every
+  /// returned record is intact.  Any thread; each consumer owns its cursor.
+  /// Returns the number of records appended.
+  std::size_t drain(std::uint64_t& cursor, std::vector<Record>& out,
+                    std::uint64_t& dropped) const;
+
+  /// Consistent copy of the retained window, oldest first (drain from 0).
   [[nodiscard]] std::vector<Record> snapshot() const;
 
   void set_stats(RankStats* stats) noexcept { stats_ = stats; }
@@ -236,6 +251,10 @@ struct FleetSnapshot {
 class Fleet {
  public:
   Fleet(int ranks, const Config& cfg);
+  /// Hands the undrained records to the attached LiveSampler, if any.
+  ~Fleet();
+  Fleet(const Fleet&) = delete;  // a LiveSampler may hold its address
+  Fleet& operator=(const Fleet&) = delete;
 
   [[nodiscard]] bool enabled() const noexcept { return !recorders_.empty(); }
   [[nodiscard]] int ranks() const noexcept { return ranks_; }
@@ -245,8 +264,15 @@ class Fleet {
     if (recorders_.empty()) return nullptr;
     return recorders_[shard(rank)].get();
   }
+  [[nodiscard]] const Recorder* recorder(int rank) const noexcept {
+    if (recorders_.empty()) return nullptr;
+    return recorders_[shard(rank)].get();
+  }
+  /// Never null; out-of-range ranks share slot 0.
   [[nodiscard]] RankStats* stats(int rank) noexcept {
-    if (stats_.empty()) return nullptr;
+    return &stats_[shard(rank)];
+  }
+  [[nodiscard]] const RankStats* stats(int rank) const noexcept {
     return &stats_[shard(rank)];
   }
 
@@ -279,8 +305,9 @@ class Fleet {
   int ranks_ = 0;
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::unique_ptr<Recorder>> recorders_;  ///< empty when disabled
-  std::vector<RankStats> stats_;                      ///< empty when disabled
+  std::vector<RankStats> stats_;
   std::vector<std::string> stage_labels_;
+  bool watched_ = false;  ///< registered with a LiveSampler
 };
 
 }  // namespace colop::rt

@@ -1,6 +1,9 @@
 #include "colop/rt/flight_recorder.h"
 
+#include <algorithm>
 #include <cstdlib>
+
+#include "colop/rt/live.h"
 
 namespace colop::rt {
 namespace {
@@ -44,11 +47,14 @@ const char* ev_name(Ev kind) {
   return "?";
 }
 
-std::vector<Record> Recorder::snapshot() const {
+std::size_t Recorder::drain(std::uint64_t& cursor, std::vector<Record>& out,
+                           std::uint64_t& dropped) const {
   const std::uint64_t end = head_.load(std::memory_order_acquire);
-  const std::uint64_t begin = end > cap_ ? end - cap_ : 0;
-  std::vector<Record> out;
-  out.reserve(static_cast<std::size_t>(end - begin));
+  if (cursor >= end) return 0;
+  const std::uint64_t begin = std::max(cursor, end > cap_ ? end - cap_ : 0);
+  dropped += begin - cursor;
+  const std::size_t first = out.size();
+  out.reserve(first + static_cast<std::size_t>(end - begin));
   for (std::uint64_t seq = begin; seq < end; ++seq) {
     const std::atomic<std::uint64_t>* w = &words_[(seq & (cap_ - 1)) * kWords];
     Record r;
@@ -66,24 +72,39 @@ std::vector<Record> Recorder::snapshot() const {
   // overwritten is untrustworthy and is dropped from the front.
   const std::uint64_t end2 = head_.load(std::memory_order_acquire);
   const std::uint64_t valid_from = end2 > cap_ ? end2 - cap_ : 0;
-  if (valid_from > begin)
-    out.erase(out.begin(),
-              out.begin() + static_cast<std::ptrdiff_t>(
-                                std::min<std::uint64_t>(valid_from - begin,
-                                                        out.size())));
+  if (valid_from > begin) {
+    const std::uint64_t torn = std::min(valid_from, end) - begin;
+    out.erase(out.begin() + static_cast<std::ptrdiff_t>(first),
+              out.begin() + static_cast<std::ptrdiff_t>(first + torn));
+    dropped += torn;
+  }
+  cursor = end;
+  return out.size() - first;
+}
+
+std::vector<Record> Recorder::snapshot() const {
+  std::uint64_t cursor = 0;
+  std::uint64_t dropped = 0;
+  std::vector<Record> out;
+  drain(cursor, out, dropped);
   return out;
 }
 
 Fleet::Fleet(int ranks, const Config& cfg)
     : ranks_(ranks < 1 ? 1 : ranks),
-      epoch_(std::chrono::steady_clock::now()) {
+      epoch_(std::chrono::steady_clock::now()),
+      stats_(static_cast<std::size_t>(ranks_)) {
   if (!kCompiledIn || !cfg.enabled) return;
   recorders_.reserve(static_cast<std::size_t>(ranks_));
-  stats_ = std::vector<RankStats>(static_cast<std::size_t>(ranks_));
   for (int r = 0; r < ranks_; ++r) {
     recorders_.push_back(std::make_unique<Recorder>(cfg.ring_capacity, epoch_));
     recorders_.back()->set_stats(&stats_[static_cast<std::size_t>(r)]);
   }
+  watched_ = LiveSampler::watch(*this);
+}
+
+Fleet::~Fleet() {
+  if (watched_) LiveSampler::retire(*this);
 }
 
 FleetSnapshot Fleet::snapshot() const {

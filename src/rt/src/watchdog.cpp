@@ -9,7 +9,6 @@
 #include <tuple>
 
 #include "colop/obs/chrome_trace.h"
-#include "colop/obs/live.h"
 
 namespace colop::rt {
 
@@ -71,7 +70,7 @@ void Watchdog::run() {
     for (int r = 0; r < n; ++r) {
       Recorder* rec = fleet.recorder(r);
       RankStats* st = fleet.stats(r);
-      if (rec == nullptr || st == nullptr) return;
+      if (rec == nullptr) return;
       if (st->done.load(std::memory_order_relaxed) != 0) continue;
       const std::uint64_t head = rec->head();
       const bool progressed = head != last_head[static_cast<std::size_t>(r)];
@@ -95,11 +94,9 @@ void Watchdog::run() {
 
     stalls_ = std::move(stalls);
     stalled_.store(true, std::memory_order_release);
-    if (obs::live_enabled())
-      for (const StallInfo& s : stalls_)
-        obs::LiveBus::global().publish(obs::LiveEv::stall, s.rank,
-                                       obs::LiveEvent::kNoStage,
-                                       s.idle_ns);
+    // The verdict lives in the fleet, where a LiveSampler reads it.
+    for (const StallInfo& s : stalls_)
+      fleet.stats(s.rank)->stalled.store(1, std::memory_order_relaxed);
     std::ostringstream reason;
     reason << describe() << " (deadline " << options_.deadline_ms << " ms)";
     dump_post_mortem(fleet_, reason.str(), options_.dump_path);

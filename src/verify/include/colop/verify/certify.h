@@ -55,10 +55,14 @@ struct Certificate {
   std::size_t position = 0;
   std::string note;            ///< the match's instantiation note
   std::string side_condition;  ///< what the rule's guard consumed, rendered
-  bool discharged = false;     ///< all obligations held
+  bool discharged = false;     ///< no obligation failed
   /// One line per obligation: "side condition: ok (+ distributes over max,
   /// 216 exhaustive + 100 random probes)" / "equivalence: ok (p=1..9)" ...
   std::vector<std::string> obligations;
+  /// Obligations that could not be evaluated (V304): "side condition",
+  /// "equivalence".  A discharged certificate with entries here holds
+  /// only as far as it could be checked.
+  std::vector<std::string> not_evaluable;
 };
 
 struct DerivationCertificates {
@@ -66,6 +70,9 @@ struct DerivationCertificates {
   Report report;
 
   [[nodiscard]] bool ok() const { return report.ok(); }
+  /// Every obligation that could not be evaluated, as "RULE @POS
+  /// OBLIGATION" (e.g. "BS-Comcast @0 equivalence"); empty when all were.
+  [[nodiscard]] std::vector<std::string> not_evaluable() const;
   [[nodiscard]] std::string render_text() const;
   void write_json(std::ostream& os) const;
 };

@@ -232,6 +232,7 @@ StepOutcome certify_step(const Program& prog, const rules::AppliedRule& step,
           ""));
       cert.obligations.push_back(
           "side condition: NOT EVALUABLE — operator pair not identified");
+      cert.not_evaluable.push_back("side condition");
     } else {
       const ir::BinOp& times = *ops.front();
       const ir::BinOp& plus = *ops.back();
@@ -265,6 +266,7 @@ StepOutcome certify_step(const Program& prog, const rules::AppliedRule& step,
             ""));
         cert.obligations.push_back(
             "side condition: NOT EVALUABLE — incompatible value domains");
+        cert.not_evaluable.push_back("side condition");
       }
     }
   } else if (ok) {
@@ -304,6 +306,7 @@ StepOutcome certify_step(const Program& prog, const rules::AppliedRule& step,
         "the program needs a custom input generator to be certified"));
     cert.obligations.push_back(std::string("equivalence: NOT EVALUABLE — ") +
                                e.what());
+    cert.not_evaluable.push_back("equivalence");
   }
 
   cert.discharged = ok;
@@ -421,6 +424,14 @@ CertifiedSearch certify_search(const Program& source,
   return out;
 }
 
+std::vector<std::string> DerivationCertificates::not_evaluable() const {
+  std::vector<std::string> out;
+  for (const Certificate& c : certificates)
+    for (const auto& what : c.not_evaluable)
+      out.push_back(c.rule + " @" + std::to_string(c.position) + " " + what);
+  return out;
+}
+
 std::string DerivationCertificates::render_text() const {
   std::ostringstream os;
   std::size_t certified = 0;
@@ -429,12 +440,24 @@ std::string DerivationCertificates::render_text() const {
     certified += c.discharged ? 1 : 0;
     os << "certificate " << (i + 1) << ": " << c.rule << " @" << c.position;
     if (!c.note.empty()) os << " (" << c.note << ")";
-    os << (c.discharged ? "  [discharged]" : "  [NOT discharged]") << "\n";
+    if (!c.discharged) {
+      os << "  [NOT discharged]";
+    } else if (!c.not_evaluable.empty()) {
+      os << "  [discharged except NOT EVALUABLE:";
+      for (const auto& what : c.not_evaluable) os << " " << what;
+      os << "]";
+    } else {
+      os << "  [discharged]";
+    }
+    os << "\n";
     os << "  side condition: " << c.side_condition << "\n";
     for (const auto& line : c.obligations) os << "  - " << line << "\n";
   }
   os << "derivation: " << certificates.size() << " application(s), "
-     << certified << " certified\n";
+     << certified << " certified";
+  if (const auto missing = not_evaluable(); !missing.empty())
+    os << ", " << missing.size() << " obligation(s) not evaluable";
+  os << "\n";
   return os.str();
 }
 
@@ -452,6 +475,11 @@ void DerivationCertificates::write_json(std::ostream& os) const {
     for (std::size_t j = 0; j < c.obligations.size(); ++j) {
       if (j) os << ",";
       os << json::quote(c.obligations[j]);
+    }
+    os << "],\"not_evaluable\":[";
+    for (std::size_t j = 0; j < c.not_evaluable.size(); ++j) {
+      if (j) os << ",";
+      os << json::quote(c.not_evaluable[j]);
     }
     os << "]}";
   }

@@ -1,11 +1,15 @@
-// Live telemetry bus: SPSC lane round trips and lap accounting, the bus's
-// pinned-lane vs shared-lane publish paths, run lifecycle edges, the
-// sampler's registry folding and snapshot JSON, the wait_newer long-poll
-// primitive, SSE framing goldens, and a producers-vs-scraper hammer that
-// TSAN and the monotonic-counter assertions both watch.
+// Live telemetry: the cursor-based Recorder::drain the sampler reads rank
+// rings with (round trip, lap accounting, packing edges), the sampler's
+// run lifecycle, its registry folding and snapshot JSON derived from
+// flight-recorder records, the wait_newer long-poll primitive, a fleet
+// destroyed between ticks losing nothing, SSE framing goldens, and a
+// producers-vs-scraper hammer that TSAN and the monotonic-counter
+// assertions both watch.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -13,231 +17,189 @@
 
 #include <gtest/gtest.h>
 
+#include "colop/exec/thread_executor.h"
+#include "colop/ir/ir.h"
 #include "colop/obs/json.h"
-#include "colop/obs/live.h"
 #include "colop/obs/metrics.h"
+#include "colop/rt/live.h"
+#include "colop/support/error.h"
 
-namespace obs = colop::obs;
-
+namespace colop {
 namespace {
 
-obs::LiveEvent make_event(obs::LiveEv kind, int rank, std::uint16_t stage,
-                          std::uint64_t a = 0, std::uint64_t b = 0) {
-  obs::LiveEvent ev;
-  ev.t_ns = 1;
-  ev.kind = kind;
-  ev.stage = stage;
-  ev.rank = rank;
-  ev.a = a;
-  ev.b = b;
-  return ev;
+using rt::Ev;
+using rt::Fleet;
+using rt::LiveRunInfo;
+using rt::LiveSampler;
+using rt::Record;
+using rt::Recorder;
+
+rt::Config enabled_config(std::size_t ring = 256) {
+  rt::Config cfg;
+  cfg.enabled = true;
+  cfg.ring_capacity = ring;
+  return cfg;
 }
 
-TEST(LiveLane, RoundTripPreservesOrderAndPayload) {
-  obs::LiveLane lane(64);
-  for (int i = 0; i < 10; ++i)
-    lane.push(make_event(obs::LiveEv::send, i, static_cast<std::uint16_t>(i),
-                         100 + static_cast<std::uint64_t>(i), 7));
+TEST(RecorderDrain, RoundTripPreservesOrderAndPayload) {
+  Recorder rec(64, std::chrono::steady_clock::now());
+  for (int i = 0; i < 10; ++i) {
+    rec.set_stage(static_cast<std::uint16_t>(i));
+    rec.log(Ev::send, i, 100 + static_cast<std::uint64_t>(i), 7);
+  }
   std::uint64_t cursor = 0;
   std::uint64_t dropped = 0;
-  std::vector<obs::LiveEvent> out;
-  EXPECT_EQ(lane.drain(cursor, out, dropped), 10u);
+  std::vector<Record> out;
+  EXPECT_EQ(rec.drain(cursor, out, dropped), 10u);
   EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(cursor, 10u);
   ASSERT_EQ(out.size(), 10u);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(out[static_cast<std::size_t>(i)].kind, obs::LiveEv::send);
-    EXPECT_EQ(out[static_cast<std::size_t>(i)].rank, i);
-    EXPECT_EQ(out[static_cast<std::size_t>(i)].stage, i);
-    EXPECT_EQ(out[static_cast<std::size_t>(i)].a,
-              100 + static_cast<std::uint64_t>(i));
-    EXPECT_EQ(out[static_cast<std::size_t>(i)].b, 7u);
+    const Record& r = out[static_cast<std::size_t>(i)];
+    EXPECT_EQ(r.seq, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(r.kind, Ev::send);
+    EXPECT_EQ(r.peer, i);
+    EXPECT_EQ(r.stage, i);
+    EXPECT_EQ(r.bytes, 100 + static_cast<std::uint64_t>(i));
+    EXPECT_EQ(r.aux, 7u);
   }
-  // Cursor advanced to head: a second drain returns nothing.
-  EXPECT_EQ(lane.drain(cursor, out, dropped), 0u);
+  // Cursor advanced to head: a second drain returns nothing, a later one
+  // only what was logged since.
+  EXPECT_EQ(rec.drain(cursor, out, dropped), 0u);
+  rec.log(Ev::mark);
+  EXPECT_EQ(rec.drain(cursor, out, dropped), 1u);
+  EXPECT_EQ(out.back().seq, 10u);
 }
 
-TEST(LiveLane, LappedRecordsAreCountedAsDropped) {
-  obs::LiveLane lane(16);  // minimum ring
-  for (std::uint64_t i = 0; i < 40; ++i)
-    lane.push(make_event(obs::LiveEv::mark, 0, obs::LiveEvent::kNoStage, i));
+TEST(RecorderDrain, LappedRecordsAreCountedAsDropped) {
+  Recorder rec(16, std::chrono::steady_clock::now());  // minimum ring
+  for (std::uint64_t i = 0; i < 40; ++i) rec.log(Ev::mark, -1, 0, i);
   std::uint64_t cursor = 0;
   std::uint64_t dropped = 0;
-  std::vector<obs::LiveEvent> out;
-  lane.drain(cursor, out, dropped);
+  std::vector<Record> out;
+  rec.drain(cursor, out, dropped);
   EXPECT_EQ(dropped, 24u);  // head 40 - capacity 16
   ASSERT_EQ(out.size(), 16u);
-  EXPECT_EQ(out.front().a, 24u);  // oldest surviving record
-  EXPECT_EQ(out.back().a, 39u);
+  EXPECT_EQ(out.front().aux, 24u);  // oldest surviving record
+  EXPECT_EQ(out.back().aux, 39u);
+
+  // A consumer that fell behind mid-stream loses exactly what was lapped.
+  for (std::uint64_t i = 40; i < 60; ++i) rec.log(Ev::mark, -1, 0, i);
+  out.clear();
+  rec.drain(cursor, out, dropped);
+  EXPECT_EQ(dropped, 24u + 4u);  // 20 new records, ring keeps 16
+  ASSERT_EQ(out.size(), 16u);
+  EXPECT_EQ(out.front().aux, 44u);
 }
 
-TEST(LiveLane, NoStageAndNegativeRankSurvivePacking) {
-  obs::LiveLane lane(16);
-  lane.push(make_event(obs::LiveEv::stall, -1, obs::LiveEvent::kNoStage, 5));
+TEST(RecorderDrain, NoStageAndNegativePeerSurvivePacking) {
+  Recorder rec(16, std::chrono::steady_clock::now());
+  rec.log(Ev::mark, -1, 0, 5);
   std::uint64_t cursor = 0;
   std::uint64_t dropped = 0;
-  std::vector<obs::LiveEvent> out;
-  lane.drain(cursor, out, dropped);
+  std::vector<Record> out;
+  rec.drain(cursor, out, dropped);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].stage, obs::LiveEvent::kNoStage);
-  EXPECT_EQ(out[0].rank, -1);
+  EXPECT_EQ(out[0].stage, Record::kNoStage);
+  EXPECT_EQ(out[0].peer, -1);
+  EXPECT_EQ(out[0].aux, 5u);
 }
 
-TEST(LiveEvName, CoversEveryKind) {
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::stage_begin), "stage_begin");
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::stage_end), "stage_end");
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::send), "send");
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::recv), "recv");
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::queue), "queue");
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::barrier), "barrier");
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::stall), "stall");
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::mark), "mark");
-}
+TEST(LiveSampler, RunLifecycleBumpsSeqOnEveryEdge) {
+  obs::Registry reg;
+  LiveSampler sampler(reg);
+  sampler.sample_once();
+  const auto s0 = sampler.snapshot();
+  EXPECT_EQ(s0.state, "idle");
 
-TEST(LiveBus, DisabledPublishIsANoOp) {
-  obs::LiveBus bus(4, 64);
-  bus.publish(obs::LiveEv::mark, 0);
-  std::vector<std::uint64_t> cursors;
-  std::vector<obs::LiveEvent> out;
-  std::uint64_t dropped = 0;
-  EXPECT_EQ(bus.drain_all(cursors, out, dropped), 0u);
-}
-
-TEST(LiveBus, SharedLaneCollectsUnpinnedPublishes) {
-  obs::LiveBus bus(4, 64);
-  bus.set_enabled(true);
-  bus.publish(obs::LiveEv::mark, 3, obs::LiveEvent::kNoStage, 11);
-  std::vector<std::uint64_t> cursors;
-  std::vector<obs::LiveEvent> out;
-  std::uint64_t dropped = 0;
-  EXPECT_EQ(bus.drain_all(cursors, out, dropped), 1u);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].kind, obs::LiveEv::mark);
-  EXPECT_EQ(out[0].rank, 3);
-  EXPECT_EQ(out[0].a, 11u);
-}
-
-TEST(LiveBus, PinnedLanesFromManyThreadsLoseNothing) {
-  obs::LiveBus bus(8, 4096);
-  bus.set_enabled(true);
-  constexpr int kThreads = 4;
-  constexpr int kEach = 1000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&bus, t] {
-      const obs::LiveLaneScope scope(bus);
-      for (int i = 0; i < kEach; ++i)
-        bus.publish(obs::LiveEv::send, t, obs::LiveEvent::kNoStage,
-                    static_cast<std::uint64_t>(i));
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::vector<std::uint64_t> cursors;
-  std::vector<obs::LiveEvent> out;
-  std::uint64_t dropped = 0;
-  bus.drain_all(cursors, out, dropped);
-  EXPECT_EQ(out.size(), static_cast<std::size_t>(kThreads * kEach));
-  EXPECT_EQ(dropped, 0u);
-  std::vector<int> per_rank(kThreads, 0);
-  for (const auto& ev : out) {
-    ASSERT_GE(ev.rank, 0);
-    ASSERT_LT(ev.rank, kThreads);
-    ++per_rank[static_cast<std::size_t>(ev.rank)];
-  }
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(per_rank[static_cast<std::size_t>(t)], kEach);
-}
-
-TEST(LiveBus, LanesAreReusedAfterScopeRelease) {
-  obs::LiveBus bus(2, 64);  // shared lane + exactly one pinnable lane
-  bus.set_enabled(true);
-  for (int round = 0; round < 3; ++round) {
-    std::thread([&bus, round] {
-      const obs::LiveLaneScope scope(bus);
-      bus.publish(obs::LiveEv::mark, round);
-    }).join();
-  }
-  std::vector<std::uint64_t> cursors;
-  std::vector<obs::LiveEvent> out;
-  std::uint64_t dropped = 0;
-  bus.drain_all(cursors, out, dropped);
-  EXPECT_EQ(out.size(), 3u);
-  EXPECT_EQ(dropped, 0u);
-}
-
-TEST(LiveBus, RunLifecycleBumpsSeqOnEveryEdge) {
-  obs::LiveBus bus(4, 64);
-  const auto s0 = bus.run_state();
-  EXPECT_FALSE(s0.active);
-
-  obs::LiveRunInfo info;
+  LiveRunInfo info;
   info.trace_id = "cafe";
   info.repeats = 3;
-  bus.begin_run(info);
-  const auto s1 = bus.run_state();
-  EXPECT_TRUE(s1.active);
+  sampler.begin_run(info);
+  sampler.sample_once();
+  const auto s1 = sampler.snapshot();
+  EXPECT_EQ(s1.state, "running");
   EXPECT_GT(s1.seq, s0.seq);
-  EXPECT_EQ(s1.info.trace_id, "cafe");
+  EXPECT_EQ(s1.trace_id, "cafe");
 
-  bus.note_repeat(2);
-  EXPECT_EQ(bus.run_state().repeat, 2);
+  sampler.note_repeat(2);
+  sampler.sample_once();
+  EXPECT_EQ(sampler.snapshot().repeat, 2);
 
-  bus.end_run();
-  const auto s2 = bus.run_state();
-  EXPECT_FALSE(s2.active);
+  sampler.end_run();
+  sampler.sample_once();
+  const auto s2 = sampler.snapshot();
+  EXPECT_EQ(s2.state, "done");
   EXPECT_GT(s2.seq, s1.seq);
-  EXPECT_GE(s2.ended_ns, s2.started_ns);
+  EXPECT_GE(s2.elapsed_ms, 0);
 
-  bus.end_run();  // idempotent: no second edge
-  EXPECT_EQ(bus.run_state().seq, s2.seq);
+  sampler.end_run();  // idempotent: no second edge
+  sampler.sample_once();
+  EXPECT_EQ(sampler.snapshot().seq, s2.seq);
 }
 
 TEST(LiveSampler, FoldsEventsIntoRegistryInstruments) {
-  obs::LiveBus bus(4, 256);
-  bus.set_enabled(true);
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);  // no start(): drive sample_once()
+  LiveSampler sampler(reg);  // no start(): drive sample_once()
 
-  obs::LiveRunInfo info;
+  LiveRunInfo info;
   info.trace_id = "deadbeef";
   info.program = "scan(+) ; reduce(+)";
   info.stage_labels = {"scan(+)", "reduce(+)"};
   info.ranks = 2;
   info.repeats = 1;
-  bus.begin_run(info);
+  sampler.begin_run(info);
 
-  bus.publish(obs::LiveEv::stage_begin, 0, 0);
-  bus.publish(obs::LiveEv::stage_end, 0, 0, 2'000'000);  // 2 ms
-  bus.publish(obs::LiveEv::send, 0, obs::LiveEvent::kNoStage, 512, 1);
-  bus.publish(obs::LiveEv::recv, 1, obs::LiveEvent::kNoStage, 512, 3'000'000);
-  bus.publish(obs::LiveEv::barrier, 1, obs::LiveEvent::kNoStage, 1'000'000);
+  Fleet fleet(2, enabled_config());
+  Recorder& r0 = *fleet.recorder(0);
+  Recorder& r1 = *fleet.recorder(1);
+  r0.set_stage(0);
+  r0.log(Ev::stage_begin);
+  r0.log(Ev::send, 1, 512, 0);
+  r0.log(Ev::stage_end);
+  r1.log(Ev::recv_begin, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  r1.log(Ev::recv_end, 0, 512);
+  r1.log(Ev::barrier_begin);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  r1.log(Ev::barrier_end);
+  fleet.stats(1)->queue_depth.store(3, std::memory_order_relaxed);
   sampler.sample_once();
 
   EXPECT_EQ(reg.value("colop_live_events_total", {{"kind", "stage_end"}}), 1);
   EXPECT_EQ(reg.value("colop_live_events_total", {{"kind", "send"}}), 1);
+  EXPECT_EQ(reg.value("colop_live_events_total", {{"kind", "recv_end"}}), 1);
   EXPECT_EQ(reg.value("colop_live_stage_completions_total"), 1);
   EXPECT_EQ(reg.value("colop_live_sends_total"), 1);
   EXPECT_EQ(reg.value("colop_live_send_bytes_total"), 512);
-  EXPECT_NEAR(reg.value("colop_live_recv_wait_seconds_total", {{"rank", "1"}}),
-              0.003, 1e-9);
-  EXPECT_NEAR(reg.value("colop_live_barrier_wait_seconds_total", {{"rank", "1"}}),
-              0.001, 1e-9);
+  const double recv_s =
+      reg.value("colop_live_recv_wait_seconds_total", {{"rank", "1"}});
+  const double barrier_s =
+      reg.value("colop_live_barrier_wait_seconds_total", {{"rank", "1"}});
+  EXPECT_GE(recv_s, 0.002);
+  EXPECT_GE(barrier_s, 0.001);
   EXPECT_EQ(reg.value("colop_live_running"), 1);
   EXPECT_EQ(reg.value("colop_live_progress_stages_done"), 1);
   EXPECT_EQ(reg.value("colop_live_progress_stages"), 4);  // 2 stages × 2 ranks
-  EXPECT_EQ(reg.value("colop_live_queue_depth", {{"rank", "0"}}), 0);
+  EXPECT_EQ(reg.value("colop_live_queue_depth", {{"rank", "1"}}), 3);
 
   const obs::LiveSnapshot snap = sampler.snapshot();
   EXPECT_EQ(snap.state, "running");
   EXPECT_EQ(snap.trace_id, "deadbeef");
   EXPECT_EQ(snap.stages_done, 1u);
   EXPECT_EQ(snap.stages_total, 4u);
+  EXPECT_EQ(snap.events_total, 7u);
   ASSERT_EQ(snap.ranks.size(), 2u);
   EXPECT_EQ(snap.ranks[0].sends, 1u);
   EXPECT_EQ(snap.ranks[0].send_bytes, 512u);
-  EXPECT_NEAR(snap.ranks[1].comm_ms, 3.0, 1e-9);
-  EXPECT_NEAR(snap.ranks[1].idle_ms, 1.0, 1e-9);
+  EXPECT_EQ(snap.ranks[1].queue_depth, 3u);
+  // The snapshot and the registry derive the waits from the same records.
+  EXPECT_NEAR(snap.ranks[1].comm_ms, recv_s * 1e3, 1e-6);
+  EXPECT_NEAR(snap.ranks[1].idle_ms, barrier_s * 1e3, 1e-6);
+  EXPECT_GE(snap.ranks[0].last_event_ms, 0);
 
-  bus.end_run();
+  sampler.end_run();
   sampler.sample_once();
   EXPECT_EQ(sampler.snapshot().state, "done");
   EXPECT_EQ(reg.value("colop_live_running"), 0);
@@ -250,56 +212,61 @@ TEST(LiveSampler, FoldsEventsIntoRegistryInstruments) {
 }
 
 TEST(LiveSampler, StallEventFlagsRankAndState) {
-  obs::LiveBus bus(4, 64);
-  bus.set_enabled(true);
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
-  obs::LiveRunInfo info;
+  LiveSampler sampler(reg);
+  LiveRunInfo info;
   info.ranks = 1;
   info.stage_labels = {"bcast"};
-  bus.begin_run(info);
-  bus.publish(obs::LiveEv::stall, 0, obs::LiveEvent::kNoStage, 9'000'000);
-  sampler.sample_once();
-  EXPECT_EQ(sampler.snapshot().state, "stalled");
-  ASSERT_FALSE(sampler.snapshot().ranks.empty());
-  EXPECT_TRUE(sampler.snapshot().ranks[0].stalled);
-  EXPECT_EQ(reg.value("colop_live_stalled"), 1);
-  EXPECT_EQ(reg.value("colop_live_rank_stalled", {{"rank", "0"}}), 1);
+  sampler.begin_run(info);
+  {
+    Fleet stuck(1, enabled_config());
+    stuck.recorder(0)->log(Ev::stage_begin);
+    // What the watchdog does on a stall.
+    stuck.stats(0)->stalled.store(1, std::memory_order_relaxed);
+    sampler.sample_once();
+    EXPECT_EQ(sampler.snapshot().state, "stalled");
+    ASSERT_FALSE(sampler.snapshot().ranks.empty());
+    EXPECT_TRUE(sampler.snapshot().ranks[0].stalled);
+    EXPECT_EQ(reg.value("colop_live_stalled"), 1);
+    EXPECT_EQ(reg.value("colop_live_rank_stalled", {{"rank", "0"}}), 1);
+  }
 
-  // The next stage_begin clears the verdict.
-  bus.publish(obs::LiveEv::stage_begin, 0, 0);
+  // The next run's first stage_begin clears the verdict.
+  Fleet next(1, enabled_config());
+  next.recorder(0)->log(Ev::stage_begin);
   sampler.sample_once();
   EXPECT_EQ(sampler.snapshot().state, "running");
-  bus.end_run();
+  sampler.end_run();
 }
 
 TEST(LiveSampler, IdleWithoutARunAndSeqQuiescesWhenNothingMoves) {
-  obs::LiveBus bus(4, 64);
-  bus.set_enabled(true);
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
+  LiveSampler sampler(reg);
   sampler.sample_once();
   EXPECT_EQ(sampler.snapshot().state, "idle");
   const std::uint64_t seq = sampler.snapshot().seq;
   sampler.sample_once();
   sampler.sample_once();
-  EXPECT_EQ(sampler.snapshot().seq, seq);  // no events, no run: no bumps
+  EXPECT_EQ(sampler.snapshot().seq, seq);  // no records, no run: no bumps
 }
 
 TEST(LiveSampler, SnapshotJsonParsesAndCarriesProgress) {
-  obs::LiveBus bus(4, 64);
-  bus.set_enabled(true);
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
-  obs::LiveRunInfo info;
+  LiveSampler sampler(reg);
+  LiveRunInfo info;
   info.trace_id = "0123456789abcdef";
   info.program = "bcast ; scan(+)";
   info.stage_labels = {"bcast", "scan(+)"};
   info.ranks = 1;
   info.repeats = 2;
-  bus.begin_run(info);
-  bus.note_repeat(1);
-  bus.publish(obs::LiveEv::stage_end, 0, 0, 1'000'000);
+  sampler.begin_run(info);
+  sampler.note_repeat(1);
+  Fleet fleet(1, enabled_config());
+  fleet.recorder(0)->set_stage(0);
+  fleet.recorder(0)->log(Ev::stage_begin);
+  fleet.recorder(0)->log(Ev::stage_end);
   sampler.sample_once();
 
   const auto doc = obs::json::parse(sampler.snapshot().to_json());
@@ -316,23 +283,23 @@ TEST(LiveSampler, SnapshotJsonParsesAndCarriesProgress) {
   ASSERT_TRUE(ranks != nullptr);
   ASSERT_EQ(ranks->items.size(), 1u);
   EXPECT_EQ(ranks->items[0]->get("stages_done")->num, 1);
-  bus.end_run();
+  sampler.end_run();
 }
 
 TEST(LiveSampler, WaitNewerTimesOutAndWakes) {
-  obs::LiveBus bus(4, 64);
-  bus.set_enabled(true);
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
+  LiveSampler sampler(reg);
   sampler.sample_once();
   const std::uint64_t seq = sampler.snapshot().seq;
 
   // Nothing changes: the poll times out and returns the same snapshot.
   EXPECT_EQ(sampler.wait_newer(seq, 30).seq, seq);
 
-  // A publish folded by a concurrent sample wakes the waiter.
+  // A record folded by a concurrent sample wakes the waiter.
   std::thread waker([&] {
-    bus.publish(obs::LiveEv::mark, 0);
+    Fleet fleet(1, enabled_config());
+    fleet.recorder(0)->log(Ev::mark);
     sampler.sample_once();
   });
   const obs::LiveSnapshot fresh = sampler.wait_newer(seq, 5000);
@@ -341,73 +308,136 @@ TEST(LiveSampler, WaitNewerTimesOutAndWakes) {
 }
 
 TEST(LiveSampler, BackgroundThreadFoldsWithoutManualSampling) {
-  obs::LiveBus bus(4, 256);
-  bus.set_enabled(true);
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
+  LiveSampler sampler(reg);
   sampler.start(5);
   EXPECT_EQ(sampler.interval_ms(), 5);
-  bus.publish(obs::LiveEv::mark, 0);
+  Fleet fleet(1, enabled_config());
+  fleet.recorder(0)->log(Ev::mark);
   const obs::LiveSnapshot snap = sampler.wait_newer(0, 5000);
   EXPECT_GE(snap.events_total, 1u);
   sampler.stop();
   EXPECT_GE(reg.value("colop_live_samples_total"), 1);
 }
 
-// Producers hammer pinned lanes while a scraper thread interleaves
+TEST(LiveSampler, OneSamplerAttachesAtATime) {
+  obs::Registry reg;
+  {
+    LiveSampler first(reg);
+    EXPECT_THROW(LiveSampler second(reg), Error);
+  }
+  EXPECT_NO_THROW(LiveSampler again(reg));
+}
+
+TEST(LiveSampler, FleetsBuiltWithoutASamplerAreNotWatched) {
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  Fleet before(1, enabled_config());
+  obs::Registry reg;
+  LiveSampler sampler(reg);
+  before.recorder(0)->log(Ev::stage_begin);
+  before.recorder(0)->log(Ev::stage_end);
+  sampler.sample_once();
+  EXPECT_EQ(sampler.snapshot().events_total, 0u);
+}
+
+// Every repeat of a real thread run builds and destroys its own fleet,
+// and here no tick runs between them: each fleet hands its records over
+// as it dies, so the completion count is exact after end_run.
+TEST(LiveSampler, NoRecordLostWhenFleetsDieBetweenTicks) {
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  struct Guard {
+    rt::Config saved = rt::mutable_config();
+    ~Guard() { rt::mutable_config() = saved; }
+  } guard;
+  rt::mutable_config().enabled = true;
+
+  ir::Program prog;
+  prog.scan(ir::op_add()).reduce(ir::op_add()).bcast();
+  constexpr int kRanks = 4;
+  constexpr int kRepeats = 5;
+  obs::Registry reg;
+  LiveSampler sampler(reg);
+  LiveRunInfo info;
+  info.ranks = kRanks;
+  info.repeats = kRepeats;
+  info.stage_labels = {"scan(+)", "reduce(+)", "bcast"};
+  sampler.begin_run(info);
+  std::uint64_t messages = 0;
+  for (int it = 0; it < kRepeats; ++it) {
+    sampler.note_repeat(it);
+    const auto run = exec::run_on_threads_instrumented(
+        prog, ir::dist_of_ints({1, 2, 3, 4}));
+    messages += run.traffic.messages;
+  }
+  sampler.end_run();
+  sampler.sample_once();
+
+  EXPECT_EQ(reg.value("colop_live_stage_completions_total"),
+            3.0 * kRanks * kRepeats);
+  EXPECT_EQ(reg.value("colop_live_sends_total"), static_cast<double>(messages));
+  const obs::LiveSnapshot snap = sampler.snapshot();
+  EXPECT_EQ(snap.state, "done");
+  EXPECT_EQ(snap.stages_done, snap.stages_total);
+  EXPECT_EQ(snap.dropped_total, 0u);
+}
+
+// Producers hammer their ranks' rings while a scraper thread interleaves
 // sample_once() with full Prometheus expositions.  TSAN watches the
 // memory-order contract; the assertions watch counter monotonicity.
 TEST(LiveHammer, CountersStayMonotonicUnderConcurrentScrapes) {
-  obs::LiveBus bus(8, 512);  // small rings force lap-and-drop paths
-  bus.set_enabled(true);
-  obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
-  obs::LiveRunInfo info;
-  info.ranks = 4;
-  info.stage_labels = {"scan(+)"};
-  bus.begin_run(info);
-
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   constexpr int kThreads = 4;
   constexpr int kEach = 5000;
-  std::atomic<bool> go{false};
-  std::vector<std::thread> producers;
-  producers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&bus, &go, t] {
-      const obs::LiveLaneScope scope(bus);
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (int i = 0; i < kEach; ++i) {
-        bus.publish(obs::LiveEv::stage_begin, t, 0);
-        bus.publish(obs::LiveEv::stage_end, t, 0,
-                    static_cast<std::uint64_t>(i));
-        bus.publish(obs::LiveEv::send, t, obs::LiveEvent::kNoStage, 64,
-                    static_cast<std::uint64_t>((t + 1) % kThreads));
-      }
-    });
-  }
+  obs::Registry reg;
+  LiveSampler sampler(reg);
+  LiveRunInfo info;
+  info.ranks = kThreads;
+  info.stage_labels = {"scan(+)"};
+  sampler.begin_run(info);
 
-  go.store(true, std::memory_order_release);
-  double last_events = 0;
-  double last_completions = 0;
-  for (int scrape = 0; scrape < 50; ++scrape) {
-    sampler.sample_once();
-    std::ostringstream os;
-    reg.write_prometheus(os);
-    const double events =
-        reg.value("colop_live_events_total", {{"kind", "stage_end"}}) +
-        reg.value("colop_live_dropped_events_total");
-    const double completions =
-        reg.value("colop_live_stage_completions_total");
-    EXPECT_GE(events, last_events);
-    EXPECT_GE(completions, last_completions);
-    last_events = events;
-    last_completions = completions;
-  }
-  for (auto& th : producers) th.join();
-  bus.end_run();
+  {
+    // Small rings force the lap-and-drop paths.
+    Fleet fleet(kThreads, enabled_config(512));
+    std::atomic<bool> go{false};
+    std::vector<std::thread> producers;
+    producers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      producers.emplace_back([&fleet, &go, t] {
+        Recorder& rec = *fleet.recorder(t);
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        rec.set_stage(0);
+        for (int i = 0; i < kEach; ++i) {
+          rec.log(Ev::stage_begin);
+          rec.log(Ev::stage_end);
+          rec.log(Ev::send, (t + 1) % kThreads, 64);
+        }
+      });
+    }
+
+    go.store(true, std::memory_order_release);
+    double last_events = 0;
+    double last_completions = 0;
+    for (int scrape = 0; scrape < 50; ++scrape) {
+      sampler.sample_once();
+      std::ostringstream os;
+      reg.write_prometheus(os);
+      const double events =
+          reg.value("colop_live_events_total", {{"kind", "stage_end"}}) +
+          reg.value("colop_live_dropped_events_total");
+      const double completions =
+          reg.value("colop_live_stage_completions_total");
+      EXPECT_GE(events, last_events);
+      EXPECT_GE(completions, last_completions);
+      last_events = events;
+      last_completions = completions;
+    }
+    for (auto& th : producers) th.join();
+  }  // the fleet dies here and hands over what is left
+  sampler.end_run();
   sampler.sample_once();
 
-  // Every event was either folded or counted as dropped; nothing vanished.
+  // Every record was either folded or counted as dropped; nothing vanished.
   const obs::LiveSnapshot snap = sampler.snapshot();
   EXPECT_EQ(snap.events_total + snap.dropped_total,
             static_cast<std::uint64_t>(kThreads) * kEach * 3);
@@ -436,16 +466,5 @@ TEST(SseFrame, MultiLineDataSplitsPerSpec) {
             "id: 2\nevent: snapshot\ndata: x\ndata: \n\n");
 }
 
-TEST(LiveEnabled, GlobalFlagMirrorsGlobalBusOnly) {
-  obs::LiveBus local(2, 64);
-  local.set_enabled(true);  // a test-local bus must not flip the fast path
-  EXPECT_FALSE(obs::live_enabled());
-  local.set_enabled(false);
-
-  obs::LiveBus::global().set_enabled(true);
-  EXPECT_TRUE(obs::live_enabled());
-  obs::LiveBus::global().set_enabled(false);
-  EXPECT_FALSE(obs::live_enabled());
-}
-
 }  // namespace
+}  // namespace colop

@@ -2,7 +2,8 @@
 // the message counts their log-p schedules imply (binomial trees send
 // p-1 messages, the butterfly sends p*log2(p) at powers of two), the
 // rank-sharded TrafficStats must lose no increment under concurrency,
-// and the obs event stream must mirror the same sends.
+// and each send must be one flight-recorder record and one count, exact
+// with the recorder on or off.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,7 @@
 #include <vector>
 
 #include "colop/mpsim/mpsim.h"
-#include "colop/obs/sink.h"
+#include "colop/rt/flight_recorder.h"
 
 namespace colop::mpsim {
 namespace {
@@ -111,7 +112,12 @@ TEST(TrafficStats, ConcurrentCollectivesLoseNoCounts) {
   // racy counter would come up short of the exact total.
   const int p = 8;
   const int iters = 50;
-  const auto plus = [](i64 a, i64 b) { return a + b; };
+  // The accumulator grows like 8^50: wrap modulo 2^64 as the i64 lanes of
+  // the catalog's + do, instead of overflowing a signed add.
+  const auto plus = [](i64 a, i64 b) {
+    return static_cast<i64>(static_cast<std::uint64_t>(a) +
+                            static_cast<std::uint64_t>(b));
+  };
   const auto traffic = run_spmd_traffic(p, [&](Comm& comm) {
     i64 acc = comm.rank() + 1;
     for (int i = 0; i < iters; ++i) acc = allreduce(comm, acc, plus);
@@ -119,8 +125,16 @@ TEST(TrafficStats, ConcurrentCollectivesLoseNoCounts) {
   EXPECT_EQ(traffic.messages, u(iters) * allreduce_messages(p));
 }
 
+/// Traffic counters without rings: the fleet of a COLOP_RT=0 group.
+rt::Config recorder_off() {
+  rt::Config cfg;
+  cfg.enabled = false;
+  return cfg;
+}
+
 TEST(TrafficStats, ShardedCountersAreExactUnderContention) {
-  TrafficStats stats(4);
+  rt::Fleet fleet(4, recorder_off());
+  TrafficStats stats(fleet);
   const int per_thread = 20000;
   {
     std::vector<std::jthread> threads;
@@ -139,7 +153,8 @@ TEST(TrafficStats, ShardedCountersAreExactUnderContention) {
 }
 
 TEST(TrafficStats, OutOfRangeRanksFallBackToShardZero) {
-  TrafficStats stats(2);
+  rt::Fleet fleet(2, recorder_off());
+  TrafficStats stats(fleet);
   stats.record_send(-1, 4);
   stats.record_send(99, 4);
   EXPECT_EQ(stats.snapshot().messages, 2u);
@@ -147,27 +162,45 @@ TEST(TrafficStats, OutOfRangeRanksFallBackToShardZero) {
   EXPECT_EQ(stats.snapshot(1).messages, 0u);
 }
 
-TEST(ObsMpsim, CollectivesEmitSpansAndSendInstants) {
-  obs::MemorySink sink;
-  {
-    obs::ScopedSink s(sink);
-    run_spmd(4, [](Comm& comm) {
-      (void)bcast(comm, comm.rank() == 0 ? i64{5} : i64{0});
-    });
-  }
-  int begins = 0, ends = 0, sends = 0;
-  for (const auto& e : sink.events()) {
-    if (e.name == "mpsim.bcast" && e.phase == obs::Phase::begin) ++begins;
-    if (e.name == "mpsim.bcast" && e.phase == obs::Phase::end) ++ends;
-    if (e.name == "send" && e.phase == obs::Phase::instant) {
-      ++sends;
-      EXPECT_EQ(e.cat, "mpsim");
-      EXPECT_GT(e.value, 0.0);  // payload bytes travel in `value`
+/// Restore the process-wide rt config after a test that mutates it.
+struct ConfigGuard {
+  rt::Config saved = rt::mutable_config();
+  ~ConfigGuard() { rt::mutable_config() = saved; }
+};
+
+TEST(ObsMpsim, EachSendIsOneRecordAndOneCount) {
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  ConfigGuard guard;
+  rt::mutable_config().enabled = true;
+  auto group = std::make_shared<Group>(4);
+  const auto [out, traffic] = run_spmd_collect_traffic_on<i64>(
+      group, [](Comm& comm) {
+        return bcast(comm, comm.rank() == 0 ? i64{5} : i64{0});
+      });
+  EXPECT_EQ(traffic.messages, 3u);  // binomial tree: p-1 messages
+  std::uint64_t records = 0;
+  std::uint64_t bytes = 0;
+  for (const auto& rs : group->fleet().snapshot().per_rank) {
+    EXPECT_EQ(rs.stats.sends, group->stats().snapshot(rs.rank).messages);
+    for (const auto& r : rs.records) {
+      if (r.kind != rt::Ev::send) continue;
+      ++records;
+      bytes += r.bytes;
+      EXPECT_GT(r.bytes, 0u);
     }
   }
-  EXPECT_EQ(begins, 4);
-  EXPECT_EQ(ends, 4);
-  EXPECT_EQ(sends, 3);  // binomial tree: p-1 messages
+  EXPECT_EQ(records, traffic.messages);
+  EXPECT_EQ(bytes, traffic.bytes);
+}
+
+TEST(TrafficStats, ExactWithTheRecorderOff) {
+  ConfigGuard guard;
+  rt::mutable_config().enabled = false;
+  const auto traffic = run_spmd_traffic(8, [](Comm& comm) {
+    (void)bcast(comm, comm.rank() == 0 ? i64{7} : i64{0});
+  });
+  EXPECT_EQ(traffic.messages, 7u);
+  EXPECT_EQ(traffic.bytes, 7u * sizeof(i64));
 }
 
 }  // namespace

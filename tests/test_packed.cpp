@@ -189,6 +189,28 @@ TEST(PackedKernels, IntegerOverflowWrapsAlikeOnBothPlanes) {
   EXPECT_EQ(op_mul()->packed()(*pa, *pb).unpack(), product);
 }
 
+TEST(PackedKernels, Mat2EntriesOf2To32WrapAlikeOnBothPlanes) {
+  // 2^32 * 2^32 = 2^64: every product wraps to 0 modulo 2^64, on both
+  // planes, as the i64 lanes of + and * do.
+  const Value big(std::int64_t{1} << 32);
+  const Value one(std::int64_t{1});
+  const Value three(std::int64_t{3});
+  const Block a{Value::tuple_of({big, big, big, big}),
+                Value::tuple_of({big, one, three, big})};
+  const Block b{Value::tuple_of({big, big, big, big}),
+                Value::tuple_of({big, one, three, big})};
+  const auto pa = PackedBlock::pack(a), pb = PackedBlock::pack(b);
+  ASSERT_TRUE(pa && pb);
+  const Block boxed = boxed_apply2(*op_mat2(), a, b);
+  const Value zero(std::int64_t{0});
+  EXPECT_EQ(boxed[0], Value::tuple_of({zero, zero, zero, zero}));
+  // [[2^32, 1], [3, 2^32]]^2 = [[2^64 + 3, 2^33], [3 * 2^33, 3 + 2^64]].
+  EXPECT_EQ(boxed[1],
+            Value::tuple_of({three, Value(std::int64_t{1} << 33),
+                             Value(std::int64_t{3} << 33), three}));
+  EXPECT_EQ(op_mat2()->packed()(*pa, *pb).unpack(), boxed);
+}
+
 TEST(PackedKernels, RealAndPromotedOpsAgreeWithBoxed) {
   const Block a{Value(1.5), U(), Value(-2.25)};
   const Block b{Value(0.5), Value(3.0), Value(4.0)};

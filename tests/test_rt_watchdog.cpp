@@ -73,6 +73,9 @@ TEST(Watchdog, DetectsSilentRank) {
   EXPECT_GT(seen[0].idle_ns, 0u);
   EXPECT_EQ(aborts.load(), 1);
   EXPECT_NE(dog.describe().find("rank 0"), std::string::npos);
+  // The verdict is also in the fleet, where a LiveSampler reads it.
+  EXPECT_EQ(fleet.stats(0)->stalled.load(), 1);
+  EXPECT_EQ(fleet.stats(1)->stalled.load(), 0);
 }
 
 TEST(Watchdog, DoneRanksAreNotStalls) {

@@ -18,8 +18,10 @@
 #include "colop/obs/metrics.h"
 #include "colop/obs/run_store.h"
 #include "colop/obs/serve.h"
+#include "colop/rt/live.h"
 
 namespace obs = colop::obs;
+namespace rt = colop::rt;
 
 namespace {
 
@@ -181,19 +183,28 @@ TEST(Serve, LiveEndpointsFourOhFourWithoutSampler) {
   EXPECT_NE(live_json.body.find("--live"), std::string::npos);
 }
 
+/// One rank completes stage 0 on a fresh fleet; the sampler folds it.
+void log_one_stage(rt::LiveSampler& sampler) {
+  rt::Config cfg;
+  cfg.enabled = true;
+  rt::Fleet fleet(1, cfg);
+  fleet.recorder(0)->set_stage(0);
+  fleet.recorder(0)->log(rt::Ev::stage_begin);
+  fleet.recorder(0)->log(rt::Ev::stage_end);
+  sampler.sample_once();
+}
+
 TEST(Serve, LiveEndpointsServeSamplerSnapshots) {
-  obs::LiveBus bus(4, 64);
-  bus.set_enabled(true);
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
-  obs::LiveRunInfo info;
+  rt::LiveSampler sampler(reg);
+  rt::LiveRunInfo info;
   info.trace_id = "feedc0defeedc0de";
   info.program = "scan(+) ; bcast";
   info.stage_labels = {"scan(+)", "bcast"};
   info.ranks = 1;
-  bus.begin_run(info);
-  bus.publish(obs::LiveEv::stage_end, 0, 0, 1'000'000);
-  sampler.sample_once();
+  sampler.begin_run(info);
+  log_one_stage(sampler);
 
   obs::StatsServer server(demo_registry());
   server.set_live(&sampler);
@@ -226,23 +237,21 @@ TEST(Serve, LiveEndpointsServeSamplerSnapshots) {
                 obs::sse_frame(snap.seq, "end",
                                "{\"state\":\"" + snap.state + "\"}"));
 
-  bus.end_run();
+  sampler.end_run();
   sampler.sample_once();
   EXPECT_EQ(server.handle("GET", "/healthz").body, "ok state=idle\n");
 }
 
 TEST(Serve, RunsDocumentEmbedsLiveProgress) {
-  obs::LiveBus bus(4, 64);
-  bus.set_enabled(true);
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
-  obs::LiveRunInfo info;
+  rt::LiveSampler sampler(reg);
+  rt::LiveRunInfo info;
   info.trace_id = "beefbeefbeefbeef";
   info.stage_labels = {"bcast"};
   info.ranks = 1;
-  bus.begin_run(info);
-  bus.publish(obs::LiveEv::stage_end, 0, 0, 500'000);
-  sampler.sample_once();
+  sampler.begin_run(info);
+  log_one_stage(sampler);
 
   obs::StatsServer server(demo_registry());
   server.set_live(&sampler);
@@ -267,7 +276,7 @@ TEST(Serve, RunsDocumentEmbedsLiveProgress) {
   EXPECT_EQ(done->get("state")->str, "done");
   EXPECT_EQ(done->get("wall_ms")->num, 12.5);
   EXPECT_TRUE(done->get("live") == nullptr);
-  bus.end_run();
+  sampler.end_run();
 }
 
 /// Open a TCP connection that sends nothing — a stuck client.

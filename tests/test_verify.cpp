@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "colop/ir/ir.h"
 #include "colop/model/machine.h"
@@ -472,6 +475,30 @@ TEST(Certificates, ForgedDerivationFailsReplay) {
   unknown.rule = "No-Such-Rule";
   const auto certs2 = certify_derivation(prog, {unknown});
   EXPECT_TRUE(has_code(certs2.report, "V303"));
+}
+
+TEST(Certificates, NotEvaluableObligationsAreNamedInTheRendering) {
+  DerivationCertificates d;
+  Certificate c;
+  c.rule = "BS-Comcast";
+  c.discharged = true;
+  c.obligations = {"equivalence: NOT EVALUABLE — no generator"};
+  c.not_evaluable = {"equivalence"};
+  d.certificates.push_back(c);
+  const std::string text = d.render_text();
+  EXPECT_NE(text.find("BS-Comcast @0  [discharged except NOT EVALUABLE: "
+                      "equivalence]"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("1 certified, 1 obligation(s) not evaluable"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(d.not_evaluable(),
+            std::vector<std::string>{"BS-Comcast @0 equivalence"});
+  std::ostringstream js;
+  d.write_json(js);
+  EXPECT_NE(js.str().find(R"("not_evaluable":["equivalence"])"),
+            std::string::npos);
 }
 
 TEST(Certificates, SideConditionTableNamesTheGuards) {

@@ -38,10 +38,10 @@
 #include "colop/obs/profile.h"
 #include "colop/obs/run_diff.h"
 #include "colop/obs/run_store.h"
-#include "colop/obs/live.h"
 #include "colop/obs/serve.h"
 #include "colop/obs/trace_context.h"
 #include "colop/rt/flight_recorder.h"
+#include "colop/rt/live.h"
 #include "colop/rt/report.h"
 #include "colop/rules/optimizer.h"
 #include "colop/rules/search.h"
@@ -447,6 +447,12 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
+  if (live && (!rt::kCompiledIn || !rt::config().enabled)) {
+    std::cerr << "--live reads the rank threads' flight recorders, which "
+                 "are off (COLOP_RT=0 or compiled out)\n\n";
+    usage();
+    return 2;
+  }
 
   // --overlap works with every strategy (greedy just appends the overlap
   // rules to its catalog); the segment count rides to the thread executor
@@ -549,6 +555,27 @@ int main(int argc, char** argv) {
       }
     }
 
+    // A schedule with a contract error (V2xx: a root out of range, a
+    // collective over blocks undefined on p-1 ranks, ...) stops here with
+    // exit 3, --verify or not: it never reaches the optimizer, simnet or
+    // the rank threads.
+    {
+      verify::ScheduleOptions sched;
+      sched.p = machine.p;
+      sched.lints = false;
+      verify::VerifyResult pre;
+      pre.report = verify::analyze_schedule(program, sched);
+      if (!pre.ok()) {
+        std::cout << pre.render_text(lint);
+        if (!verify_json.empty()) {
+          auto f = open_output(verify_json);
+          pre.write_json(f, lint);
+          f << "\n";
+        }
+        return pre.exit_code();
+      }
+    }
+
     // The telemetry hub wants the optimizer's attempt log even when the
     // user didn't ask for --explain: rule attempted/rejected counters come
     // from it.  A recorded bundle archives the hub snapshot and the explain
@@ -563,6 +590,7 @@ int main(int argc, char** argv) {
     std::optional<rules::SearchResult> search_res;
     bool winner_fell_back = false;
     bool winner_demoted = false;
+    std::vector<std::string> winner_not_evaluable;
     rules::OptimizeResult result;
     if (searching) {
       rules::SearchOptions sopts;
@@ -577,6 +605,8 @@ int main(int argc, char** argv) {
       auto cert = verify::certify_search(program, searcher.search(program));
       winner_fell_back = cert.fell_back_to_source;
       winner_demoted = cert.demoted;
+      if (const auto* wc = cert.winner_certificates())
+        winner_not_evaluable = wc->not_evaluable();
       search_res = std::move(cert.search);
       result = search_res->best;
     } else {
@@ -636,6 +666,12 @@ int main(int argc, char** argv) {
                      "discharged";
       else
         std::cout << "discharged";
+      // A discharged certificate holds only as far as it was evaluated.
+      if (!winner_fell_back && !winner_not_evaluable.empty()) {
+        std::cout << " except NOT EVALUABLE:";
+        for (std::size_t i = 0; i < winner_not_evaluable.size(); ++i)
+          std::cout << (i > 0 ? "," : "") << " " << winner_not_evaluable[i];
+      }
       std::cout << "\n";
     }
     std::cout << "\n";
@@ -749,7 +785,7 @@ int main(int argc, char** argv) {
     // order matters: the server (workers may read the sampler) goes down
     // first, then the sampler (its thread writes the hub), then the hub.
     obs::Registry hub;
-    std::optional<obs::LiveSampler> live_sampler;
+    std::optional<rt::LiveSampler> live_sampler;
     std::optional<obs::StatsServer> server;
 
     std::optional<rt::RtReport> rt_rep;
@@ -768,20 +804,18 @@ int main(int argc, char** argv) {
       }
 
       if (live) {
-        // Live mode flips the ordering: enable the bus, start the sampler
-        // and the server *before* execution so scrapes and /live streams
-        // observe the run in flight.
-        auto& bus = obs::LiveBus::global();
-        obs::LiveRunInfo info;
+        // Live mode flips the ordering: start the sampler and the server
+        // *before* execution so scrapes and /live streams observe the run
+        // in flight.
+        rt::LiveRunInfo info;
         info.trace_id = obs::trace_id();
         info.program = result.program.show();
         for (const auto& stage : result.program.stages())
           info.stage_labels.push_back(stage->show());
         info.ranks = static_cast<int>(machine.p);
         info.repeats = warmup + repeat;
-        bus.set_enabled(true);
-        bus.begin_run(std::move(info));
-        live_sampler.emplace(bus, hub);
+        live_sampler.emplace(hub);
+        live_sampler->begin_run(std::move(info));
         live_sampler->start();
 
         obs::RunSummary run_summary;
@@ -814,12 +848,12 @@ int main(int argc, char** argv) {
       samples_ms.reserve(static_cast<std::size_t>(repeat));
       std::optional<exec::ThreadRunResult> run;
       for (int it = 0; it < warmup + repeat; ++it) {
-        if (live) obs::LiveBus::global().note_repeat(it);
+        if (live_sampler) live_sampler->note_repeat(it);
         auto r = exec::run_on_threads_instrumented(result.program, input);
         if (it >= warmup) samples_ms.push_back(r.wall_seconds * 1e3);
         run = std::move(r);
       }
-      if (live) obs::LiveBus::global().end_run();
+      if (live_sampler) live_sampler->end_run();
 
       rt::RtReportOptions ropts;
       ropts.model_stage_times.reserve(result.program.size());
