@@ -4,7 +4,9 @@
 // elementwise scan/reduce combines, the op_sr2 derived combine, and the
 // cost of materializing a transmissible copy (boxed deep copy vs packed
 // memcpy serialization).  Phase B runs table1-style pipelines end to end
-// on the mpsim thread executor, once per plane.
+// on the mpsim thread executor, once per plane.  Phases C and D gate the
+// flight recorder's and the live sampler's cost on that path (median of
+// paired on/off ratios, 5% budget).
 //
 // The gating scalars are the dimensionless speedup ratios — stable across
 // machines, which is what the committed Release baseline compares under
@@ -191,56 +193,93 @@ Measurement bench_e2e(const std::string& name, const ir::Program& prog,
           static_cast<double>(elems) / tp};
 }
 
-// --- Phase C: flight-recorder overhead -----------------------------------
+// --- Phases C and D: telemetry overhead -----------------------------------
 
-// The rt telemetry layer claims always-on, low-overhead.  Hold it to that:
-// the same pipeline with the recorder on vs off must agree to within a few
-// percent (best-of-reps on both sides absorbs scheduler noise).
-double bench_rt_overhead(const ir::Program& prog, const ir::Dist& input,
-                         int reps, obs::MetricsRegistry& reg) {
-  auto& cfg = rt::mutable_config();
-  const rt::Config saved = cfg;
-  auto one_run = [&](bool enabled) {
-    cfg.enabled = enabled;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto r = exec::run_on_threads_instrumented(prog, input,
-                                                     ir::DataPlane::Boxed);
-    const auto t1 = std::chrono::steady_clock::now();
-    g_sink = g_sink + r.output.size();
-    return std::chrono::duration<double>(t1 - t0).count();
-  };
-  // Interleave the two configurations so frequency scaling and background
-  // load hit both sides alike; best-of-reps absorbs the remaining noise.
-  one_run(false);
-  one_run(true);
-  double off = std::numeric_limits<double>::max();
-  double on = std::numeric_limits<double>::max();
-  for (int i = 0; i < 2 * reps; ++i) {
-    off = std::min(off, one_run(false));
-    on = std::min(on, one_run(true));
-  }
-  cfg = saved;
-  const double overhead = on / off - 1.0;
-  reg.set("rt_overhead_e2e", overhead);
-  reg.add_row("micro_dataplane",
-              {{"rt_e2e_recorder_on_sec", on},
-               {"rt_e2e_recorder_off_sec", off}});
-  return overhead;
+/// Linear-interpolated quantile q in [0, 1] of a non-empty sample.
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
 
-// --- Phase D: live-sampler overhead --------------------------------------
+struct Overhead {
+  double median = 0;  ///< median over pairs of on/off - 1: the gated figure
+  double iqr = 0;     ///< interquartile range of those per-pair ratios
+  double on_sec = 0, off_sec = 0;  ///< median per-run wall time, each side
+};
 
-// Live monitoring makes the same promise as the flight recorder: cheap
-// enough to leave on for the whole run.  Its only cost to the ranks is a
-// sampler draining their rings concurrently (as under colopt --serve
-// --live), so attached runs — a sampler ticking at the default interval,
-// every fleet registered with it — race detached ones.  The two interleave
-// so frequency scaling hits both sides alike, and best-of-reps absorbs the
-// remaining noise.
-double bench_live_overhead(const ir::Program& prog, const ir::Dist& input,
-                           int reps, obs::MetricsRegistry& reg) {
+/// Paired A/B estimator of a telemetry layer's cost: each pair times one
+/// block of runs with the layer off and one with it on, back to back,
+/// alternating which side goes first so drift and warm-up hit both alike,
+/// and the estimate is the median of the per-pair ratios — robust to the
+/// odd slow block, where best-of-N chases the luckiest run.  `side(on)`
+/// runs one block and returns its mean seconds per run.
+template <typename Side>
+Overhead paired_overhead(int pairs, Side&& side) {
+  side(false);  // warm-up
+  side(true);
+  std::vector<double> ratios, on, off;
+  for (int i = 0; i < pairs; ++i) {
+    const bool on_first = i % 2 == 1;
+    const double first = side(on_first);
+    const double second = side(!on_first);
+    on.push_back(on_first ? first : second);
+    off.push_back(on_first ? second : first);
+    ratios.push_back(on.back() / off.back() - 1.0);
+  }
+  return {quantile(ratios, 0.5),
+          quantile(ratios, 0.75) - quantile(ratios, 0.25), quantile(on, 0.5),
+          quantile(off, 0.5)};
+}
+
+/// Mean wall seconds of `runs` end-to-end executions.
+double block_seconds(const ir::Program& prog, const ir::Dist& input,
+                     int runs) {
+  double sec = 0;
+  for (int k = 0; k < runs; ++k) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto r =
+        exec::run_on_threads_instrumented(prog, input, ir::DataPlane::Boxed);
+    const auto t1 = std::chrono::steady_clock::now();
+    g_sink = g_sink + r.output.size();
+    sec += std::chrono::duration<double>(t1 - t0).count();
+  }
+  return sec / runs;
+}
+
+void record_overhead(obs::MetricsRegistry& reg, const std::string& name,
+                     const std::string& on_key, const std::string& off_key,
+                     const Overhead& o) {
+  reg.set(name + "_overhead_e2e", o.median);
+  reg.add_row("micro_dataplane", {{on_key, o.on_sec},
+                                  {off_key, o.off_sec},
+                                  {name + "_overhead_iqr", o.iqr}});
+}
+
+// Phase C: the rt flight recorder claims always-on, low-overhead — the same
+// pipeline with the recorder on vs off.
+Overhead bench_rt_overhead(const ir::Program& prog, const ir::Dist& input,
+                           int pairs, int block) {
+  auto& cfg = rt::mutable_config();
+  const rt::Config saved = cfg;
+  const Overhead o = paired_overhead(pairs, [&](bool on) {
+    cfg.enabled = on;
+    return block_seconds(prog, input, block);
+  });
+  cfg = saved;
+  return o;
+}
+
+// Phase D: live monitoring makes the same promise.  An attached block runs
+// under one sampler ticking at the default interval, as colopt --serve
+// --live --repeat N does: every fleet registers with it and hands its
+// records over when it ends.
+Overhead bench_live_overhead(const ir::Program& prog, const ir::Dist& input,
+                             int pairs, int block) {
   obs::Registry scratch;
-  auto one_run = [&](bool attached) {
+  return paired_overhead(pairs, [&](bool attached) {
     std::optional<rt::LiveSampler> sampler;
     if (attached) {
       sampler.emplace(scratch);
@@ -251,27 +290,8 @@ double bench_live_overhead(const ir::Program& prog, const ir::Dist& input,
       sampler->begin_run(std::move(info));
       sampler->start();
     }
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto r = exec::run_on_threads_instrumented(prog, input,
-                                                     ir::DataPlane::Boxed);
-    const auto t1 = std::chrono::steady_clock::now();
-    g_sink = g_sink + r.output.size();
-    return std::chrono::duration<double>(t1 - t0).count();
-  };
-  one_run(false);
-  one_run(true);
-  double off = std::numeric_limits<double>::max();
-  double on = std::numeric_limits<double>::max();
-  for (int i = 0; i < 2 * reps; ++i) {
-    off = std::min(off, one_run(false));
-    on = std::min(on, one_run(true));
-  }
-
-  const double overhead = on / off - 1.0;
-  reg.set("live_overhead_e2e", overhead);
-  reg.add_row("micro_dataplane", {{"live_e2e_sampler_on_sec", on},
-                                  {"live_e2e_sampler_off_sec", off}});
-  return overhead;
+    return block_seconds(prog, input, block);
+  });
 }
 
 }  // namespace
@@ -296,8 +316,7 @@ int main(int argc, char** argv) {
   reg.set("quick", quick ? 1 : 0);
 
   std::vector<Measurement> ms;
-  double rt_overhead = 0;
-  double live_overhead = 0;
+  Overhead rt_overhead, live_overhead;
 
   // Phase A: local kernels.
   ms.push_back(bench_map_pair(m_local, reps));
@@ -347,8 +366,17 @@ int main(int argc, char** argv) {
     bcast_scan.bcast().scan(ir::op_add());
     ms.push_back(bench_e2e("e2e_bcast_scan", bcast_scan, ints, e2e_reps));
 
-    rt_overhead = bench_rt_overhead(scan_reduce, ints, e2e_reps, reg);
-    live_overhead = bench_live_overhead(scan_reduce, ints, e2e_reps, reg);
+    // 4x e2e_reps pairs of e2e_reps-run blocks, 256 runs a side in full
+    // mode: single ~4 ms runs spread by tens of percent, so resolving a 5%
+    // budget takes many pairs of blocks.
+    rt_overhead =
+        bench_rt_overhead(scan_reduce, ints, 4 * e2e_reps, e2e_reps);
+    live_overhead =
+        bench_live_overhead(scan_reduce, ints, 4 * e2e_reps, e2e_reps);
+    record_overhead(reg, "rt", "rt_e2e_recorder_on_sec",
+                    "rt_e2e_recorder_off_sec", rt_overhead);
+    record_overhead(reg, "live", "live_e2e_sampler_on_sec",
+                    "live_e2e_sampler_off_sec", live_overhead);
   }
 
   std::cout << "micro_dataplane (m_local=" << m_local << ", m_e2e=" << m_e2e
@@ -368,17 +396,19 @@ int main(int argc, char** argv) {
   }
   reg.set("speedup_e2e_min", e2e_speedup_min);
 
-  std::printf("  rt recorder overhead on e2e_scan_reduce: %+.2f%%\n",
-              rt_overhead * 100);
-  std::printf("  live sampler overhead on e2e_scan_reduce: %+.2f%%\n",
-              live_overhead * 100);
+  std::printf(
+      "  rt recorder overhead on e2e_scan_reduce: %+.2f%% (IQR %.2f%%)\n",
+      rt_overhead.median * 100, rt_overhead.iqr * 100);
+  std::printf(
+      "  live sampler overhead on e2e_scan_reduce: %+.2f%% (IQR %.2f%%)\n",
+      live_overhead.median * 100, live_overhead.iqr * 100);
 
   // Pass/fail as deterministic 0/1 scalars so the bench-history anomaly
   // gate tracks the budgets without chasing the noisy ratios themselves.
   // Quick runs are too short for a stable ratio, so they report only and
   // always count as ok.
-  const bool rt_ok = quick || rt_overhead <= 0.05;
-  const bool live_ok = quick || live_overhead <= 0.05;
+  const bool rt_ok = quick || rt_overhead.median <= 0.05;
+  const bool live_ok = quick || live_overhead.median <= 0.05;
   reg.set("rt_overhead_ok", rt_ok ? 1 : 0);
   reg.set("live_overhead_ok", live_ok ? 1 : 0);
 
@@ -386,12 +416,12 @@ int main(int argc, char** argv) {
 
   // Gate: both telemetry layers must stay cheap on the e2e path.
   if (!rt_ok) {
-    std::cerr << "FAIL: rt recorder overhead " << rt_overhead * 100
+    std::cerr << "FAIL: rt recorder overhead " << rt_overhead.median * 100
               << "% exceeds the 5% budget\n";
     return 1;
   }
   if (!live_ok) {
-    std::cerr << "FAIL: live sampler overhead " << live_overhead * 100
+    std::cerr << "FAIL: live sampler overhead " << live_overhead.median * 100
               << "% exceeds the 5% budget\n";
     return 1;
   }

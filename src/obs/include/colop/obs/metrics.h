@@ -198,8 +198,6 @@ class MetricsRegistry {
   /// {"schema_version":N, "info": {...}, "scalars": {...},
   ///  "series": {"name": [{...}, ...]}}
   void write_json(std::ostream& os) const;
-  /// One CSV block per series: header row from the union of keys.
-  void write_csv(std::ostream& os) const;
 
   [[nodiscard]] std::map<std::string, double> scalars() const;
 

@@ -197,7 +197,7 @@ class RunStore {
 };
 
 /// Resolve `arg` as a path to a manifest.json (when it names a readable
-/// file) or as a store selector — how --diff and colop_diff accept runs.
+/// file) or as a store selector — how colopt --diff accepts runs.
 [[nodiscard]] RunBundle load_run_or_file(const RunStore& store,
                                          const std::string& arg);
 

@@ -137,19 +137,34 @@ TEST(RtReport, RenderTextMentionsEveryRank) {
   EXPECT_NE(text.find("wall vs model"), std::string::npos);
 }
 
-TEST(RtReport, PublishMetricsExportsScalarsAndSeries) {
+TEST(RtReport, PublishRegistryExportsRanksStagesAndWallTime) {
   if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   const auto rep = table1_report();
-  obs::MetricsRegistry reg;
-  rt::publish_metrics(rep, reg);
-  EXPECT_TRUE(reg.has("rt_procs"));
-  EXPECT_EQ(reg.get("rt_procs"), kProcs);
-  EXPECT_TRUE(reg.has("rt_wall_ms"));
-  EXPECT_TRUE(reg.has("rt_drift_max_abs"));
+  obs::Registry reg;
+  rt::publish_registry(rep, reg);
+  // One series per rank, carrying that rank's sends.
+  for (const auto& r : rep.ranks)
+    EXPECT_EQ(reg.value("colop_mpsim_messages_total",
+                        {{"rank", std::to_string(r.rank)}}),
+              static_cast<double>(r.sends));
+  EXPECT_TRUE(reg.has("colop_exec_run_seconds"));
+  EXPECT_TRUE(reg.has("colop_exec_stage_seconds"));
 
   std::ostringstream os;
   reg.write_json(os);
-  EXPECT_NE(os.str().find("rt_ranks"), std::string::npos);
+  const auto doc = obs::json::parse(os.str());
+  std::size_t ranks = 0, stages = 0;
+  double wall_s = -1;
+  for (const auto& m : doc.get("metrics")->items) {
+    const std::string& name = m->get("name")->str;
+    const auto& series = m->get("series")->items;
+    if (name == "colop_mpsim_messages_total") ranks = series.size();
+    if (name == "colop_exec_stage_seconds") stages = series.size();
+    if (name == "colop_exec_run_seconds") wall_s = series[0]->get("sum")->num;
+  }
+  EXPECT_EQ(ranks, static_cast<std::size_t>(kProcs));
+  EXPECT_EQ(stages, rep.stages.size());
+  EXPECT_NEAR(wall_s, rep.wall_ms / 1e3, 1e-9);
 }
 
 TEST(RepeatStats, OfComputesOrderStatistics) {

@@ -1,24 +1,30 @@
 // colopt — the command-line optimizer driver.
 //
-// Parse a program in the textual syntax, optimize it for a given machine
-// with the paper's rules and cost calculus, and report the derivation,
-// predicted times (analytic + simnet) and communication volumes.
+// Parse a program in the textual syntax (or take a built-in --example),
+// optimize it for a given machine with the paper's rules and cost
+// calculus, and report the derivation, predicted times (analytic +
+// simnet) and communication volumes.  Reports, run forensics and the
+// stats server ride on the same run.
 //
-// Usage:
-//   colopt [--p N] [--m N] [--ts X] [--tw X] [--exhaustive] [--strict]
-//          "scan(*) ; reduce(+) ; bcast"
+// Two declarations drive this file.  kReports declares each of the eight
+// reports once: its flags, its files and its --record artifact key.  The
+// flag table in main() is the single source of the parser, the --help
+// text and the implied-mode rules; `colopt --help` prints it.
 //
 // Example:
 //   $ colopt --p 64 --m 32 --ts 400 "bcast ; scan(+) ; scan(+)"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -46,477 +52,640 @@
 #include "colop/rules/optimizer.h"
 #include "colop/rules/search.h"
 #include "colop/support/error.h"
-#include "colop/verify/certify.h"
 #include "colop/support/rng.h"
 #include "colop/support/table.h"
+#include "colop/verify/certify.h"
 #include "colop/verify/verify.h"
 
 namespace {
 
-std::ofstream open_output(const std::string& path) {
+using namespace colop;
+
+using Writer = std::function<void(std::ostream&)>;
+
+/// Write one output file and say so on stdout: "<label> written to F".
+void emit(const std::string& path, const std::string& label,
+          const Writer& write, const char* end = "\n") {
+  if (path.empty()) return;
   std::ofstream f(path);
-  if (!f) throw colop::Error("cannot open " + path + " for writing");
-  return f;
+  if (!f) throw Error("cannot open " + path + " for writing");
+  write(f);
+  std::cout << label << " written to " << path << end;
 }
 
-void usage();
+// --- the eight reports -----------------------------------------------------
 
-// Strict numeric flag parsing: the whole operand must be a number.  A typo
-// like `--p 6x4` or `--ts fast` must fail loudly with the usage hint, not
-// silently truncate to whatever atoi salvages.
-[[noreturn]] void bad_value(const std::string& flag, const char* text,
-                            const char* expected) {
-  std::cerr << "bad value for " << flag << ": '" << text << "' (expected "
-            << expected << ")\n\n";
-  usage();
-  std::exit(2);
-}
+enum Report {
+  kExplain, kSearch, kVerify, kDrift, kProfile, kCalibrate, kRt, kDiff,
+  kReportCount
+};
 
-int parse_int(const std::string& flag, const char* text) {
+struct FileDecl {
+  const char* suffix;      // the flag is the report's stem + suffix
+  const char* label;       // "<label> written to F"
+  const char* help;
+  const char* end = "\n";  // what follows the "written to" line
+};
+
+struct ReportDecl {
+  const char* mode;      // shows the report; every file flag implies it
+  const char* operands;  // the mode flag's operands, nullptr if none
+  const char* stem;      // prefix of the file flags
+  const char* artifact;  // --record bundle key of its JSON; nullptr: none
+  const char* help;
+  std::vector<FileDecl> files;  // files[0] is the JSON document
+};
+
+const ReportDecl kReports[kReportCount] = {
+    {"--explain", nullptr, "--explain", "explain",
+     "log every rule attempt (rule x position) with its condition/policy "
+     "verdict and predicted cost delta (greedy strategy only)",
+     {{"-json", "explain log", "write the explain log as JSON to file F"}}},
+    {"--search-report", nullptr, "--search-report", "search",
+     "print the ranked top-K schedule report with rule paths, cost gaps and "
+     "search statistics",
+     {{"-json", "search report", "write the search report as JSON to file F",
+       "\n\n"}}},
+    {"--verify", nullptr, "--verify", "verify",
+     "statically verify the run: operator property declarations (checked, "
+     "not trusted), distribution-state contracts of the source and "
+     "optimized schedules, and one soundness certificate per rule "
+     "application; exit 3 if anything is unsound",
+     {{"-json", "verification report",
+       "write the verification report as JSON to file F"}}},
+    {"--drift", nullptr, "--drift", "drift",
+     "report model-vs-simnet drift (time, messages, words) for p in "
+     "{2,4,...,64}",
+     {{"-json", "drift report", "write the drift report as JSON to file F"}}},
+    {"--profile", nullptr, "--profile", "profile",
+     "critical-path profile of the optimized program: per-rank "
+     "busy/comm/idle, the critical path, and per-stage attribution with "
+     "rule provenance",
+     {{"-json", "profile", "write the profile as JSON to file F"},
+      {"-trace", "profile trace",
+       "write the profile as a Chrome trace (critical path drawn as flow "
+       "arrows) to file F"}}},
+    {"--calibrate", nullptr, "--calibrate", nullptr,
+     "fit ts/tw/op-cost from measured collective timings and report the "
+     "fit plus drift vs the configured machine",
+     {{"-json", "calibration", "write the calibration fit as JSON to file F",
+       "\n\n"}}},
+    {"--rt-report", nullptr, "--rt", "rt",
+     "run the optimized program on the thread executor and report runtime "
+     "telemetry: per-rank busy/wait/queue depth and per-stage "
+     "wall-clock-vs-predicted drift",
+     {{"-json", "runtime report", "write the runtime report as JSON to file F"},
+      {"-trace", "runtime trace",
+       "write the flight-recorder capture as a Chrome trace (send->recv flow "
+       "arrows) to file F"},
+      {"-html", "runtime HTML report",
+       "write a self-contained HTML runtime report (timeline + tables, no "
+       "external assets) to file F"}}},
+    {"--diff", "A B", "--diff", nullptr,
+     "cross-run forensics: diff two archived runs (each a trace id, unique "
+     "id prefix, latest, latest~N, or a manifest.json path) and exit; no "
+     "program operand needed.  Reports machine drift, the stage-level "
+     "schedule diff with rule provenance, ranked suspect stages, and totals",
+     // The diff's first file line follows a blank line.
+     {{"-json", "\nrun diff", "write the run diff as stable JSON to file F"},
+      {"-html", "run diff HTML report",
+       "write the run diff as a self-contained HTML report (side-by-side "
+       "timelines + tables) to file F"}}},
+};
+
+/// One computed report: the body its mode prints and one writer per
+/// declared file.
+struct Rendered {
+  std::string text;
+  std::vector<Writer> files;
+  bool archive = true;  // false keeps it out of a --record bundle
+};
+
+struct Reports {
+  std::array<bool, kReportCount> on{};
+  std::array<std::array<std::string, 3>, kReportCount> paths{};
+  std::array<std::vector<std::string>, kReportCount> args{};
+  std::array<std::optional<Rendered>, kReportCount> done{};
+
+  /// Print a computed report (its body only in its mode), write its
+  /// files, and keep it for --record.
+  void show(Report r, Rendered out) {
+    if (on[r]) std::cout << out.text;
+    const auto& files = kReports[r].files;
+    for (std::size_t i = 0; i < files.size(); ++i)
+      emit(paths[r][i], files[i].label, out.files[i], files[i].end);
+    done[r] = std::move(out);
+  }
+};
+
+// --- flags -----------------------------------------------------------------
+
+/// A usage error: printed with the usage text, exit 2.
+struct UsageError {
+  std::string message;
+};
+
+/// Thrown by a flag's action on an operand it rejects; the parser names
+/// the flag and the operand.
+struct BadValue {
+  const char* expected;
+};
+
+enum class Operand { none, required, optional, pair };
+
+struct Flag {
+  std::string name;
+  Operand operand;
+  std::string metavar;
+  std::string help;
+  std::function<void(const std::string&)> act;  // the operand, "" if none
+};
+
+// Strict numeric operands: the whole operand must be a number in range.  A
+// typo like `--p 6x4`, `--ts fast` or `--m nan` fails loudly here, before
+// it can reach the optimizer, simnet or the rank threads.
+int parse_int(const std::string& text, long lo, long hi,
+              const char* expected) {
   char* end = nullptr;
   errno = 0;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < INT_MIN ||
-      v > INT_MAX)
-    bad_value(flag, text, "an integer");
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE || v < lo ||
+      v > hi)
+    throw BadValue{expected};
   return static_cast<int>(v);
 }
 
-double parse_double(const std::string& flag, const char* text) {
+double parse_number(const std::string& text) {
   char* end = nullptr;
   errno = 0;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE)
-    bad_value(flag, text, "a number");
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(v) || v < 0)
+    throw BadValue{"a finite non-negative number"};
   return v;
 }
 
-void usage() {
-  std::cerr <<
-      "usage: colopt [options] \"<program>\"\n"
-      "  --p N          processors (default 64)\n"
-      "  --m N          block size in elements (default 1024)\n"
-      "  --ts X         message start-up time in op units (default 400)\n"
-      "  --tw X         per-word transfer time in op units (default 2)\n"
-      "  --opt=S        schedule-search strategy: greedy (one-step greedy\n"
-      "                 rewriting, default), beam (cost-guided beam search),\n"
-      "                 bnb (branch-and-bound with an admissible lower\n"
-      "                 bound), or exhaustive (breadth-first over all rule\n"
-      "                 sequences).  Search strategies explore rule-order\n"
-      "                 permutations the greedy optimizer never sees, seed\n"
-      "                 their incumbent with the greedy result (never worse),\n"
-      "                 and re-discharge the winning sequence's rewrite\n"
-      "                 certificates before returning it\n"
-      "  --beam-width=N beam frontier width (default 8; --opt=beam only)\n"
-      "  --search-report        print the ranked top-K schedule report with\n"
-      "                 rule paths, cost gaps and search statistics\n"
-      "  --search-report-json F write the search report as JSON to file F\n"
-      "  --exhaustive   alias for --opt=exhaustive\n"
-      "  --strict       require full equivalence (reject root-only rewrites\n"
-      "                 unless masked by a later bcast)\n"
-      "  --max-mem N    memory budget: reject rewrites whose peak element\n"
-      "                 width exceeds N words (Section 4.2's caveat)\n"
-      "  --overlap[=K]  enable the split-phase overlap rules (Overlap-Split,\n"
-      "                 Wait-Sink): collectives followed by elementwise maps\n"
-      "                 are rewritten to istart_C ; map... ; wait windows the\n"
-      "                 executor pipelines in K segments (default 4, K >= 2).\n"
-      "                 Works with every --opt strategy and with --verify,\n"
-      "                 whose V22x split-phase contracts gate the result\n"
-      "  --timeline     render before/after per-processor timelines\n"
-      "  --rules        list the rule catalog and exit\n"
-      "  --verify       statically verify the run: operator property\n"
-      "                 declarations (checked, not trusted), distribution-\n"
-      "                 state contracts of the source and optimized\n"
-      "                 schedules, and one soundness certificate per rule\n"
-      "                 application; exit 3 if anything is unsound\n"
-      "  --verify-json F  write the verification report as JSON to file F\n"
-      "                 (implies --verify)\n"
-      "  --lint         also report lint-severity findings (missed fusions,\n"
-      "                 packed-plane ineligibility); implies --verify\n"
-      "  --example NAME use a built-in program instead of the text syntax:\n"
-      "                 polyeval1|polyeval2|polyeval3|polyeval_sr2 (Section 5,\n"
-      "                 coefficients 1..p)\n"
-      "  --explain      log every rule attempt (rule x position) with its\n"
-      "                 condition/policy verdict and predicted cost delta\n"
-      "                 (greedy strategy only)\n"
-      "  --explain-json F  write the explain log as JSON to file F\n"
-      "  --trace F      write a Chrome trace (chrome://tracing, Perfetto) of\n"
-      "                 the optimized program's simulated execution to file F\n"
-      "  --metrics F    write run metrics to file F through the telemetry\n"
-      "                 registry (.prom for Prometheus text, .csv for the\n"
-      "                 legacy scalar CSV, JSON otherwise)\n"
-      "  --serve[=PORT] run the program on the thread executor, then serve\n"
-      "                 the telemetry registry over HTTP on 127.0.0.1:PORT\n"
-      "                 (default: a kernel-assigned ephemeral port, printed\n"
-      "                 on stdout): /metrics /metrics.json /runs\n"
-      "                 /runs/<trace_id> /live /live.json /healthz\n"
-      "  --live         with --serve: start the server *before* execution\n"
-      "                 and stream in-flight telemetry — /metrics moves\n"
-      "                 mid-run, /live streams snapshots as Server-Sent\n"
-      "                 Events (watch with tools/colop_top), /healthz\n"
-      "                 reports idle|running|stalled; pair with --repeat N\n"
-      "                 to make the run long enough to watch\n"
-      "  --record[=DIR] archive this run as a forensics bundle — manifest\n"
-      "                 (identity, machine, schedule IR, applied rules, cost\n"
-      "                 summary) plus every JSON artifact the run emits —\n"
-      "                 under DIR/<trace_id>/ (default $COLOP_RUN_DIR, else\n"
-      "                 .colop/runs); honors $COLOP_RUN_RETENTION, e.g.\n"
-      "                 \"count=32,age=604800\"\n"
-      "  --store DIR    run-store root for --diff and --serve lookups\n"
-      "                 (default: the --record DIR, else $COLOP_RUN_DIR,\n"
-      "                 else .colop/runs)\n"
-      "  --diff A B     cross-run forensics: diff two archived runs (each a\n"
-      "                 trace id, unique id prefix, latest, latest~N, or a\n"
-      "                 manifest.json path) and exit; no program operand\n"
-      "                 needed.  Reports machine drift, the stage-level\n"
-      "                 schedule diff with rule provenance, ranked suspect\n"
-      "                 stages, and totals\n"
-      "  --diff-json F  write the run diff as stable JSON to file F\n"
-      "  --diff-html F  write the run diff as a self-contained HTML report\n"
-      "                 (side-by-side timelines + tables) to file F\n"
-      "  --drift        report model-vs-simnet drift (time, messages, words)\n"
-      "                 for p in {2,4,...,64}\n"
-      "  --drift-json F write the drift report as JSON to file F\n"
-      "  --profile      critical-path profile of the optimized program:\n"
-      "                 per-rank busy/comm/idle, the critical path, and\n"
-      "                 per-stage attribution with rule provenance\n"
-      "  --profile-json F   write the profile as JSON to file F\n"
-      "  --profile-trace F  write the profile as a Chrome trace (critical\n"
-      "                 path drawn as flow arrows) to file F\n"
-      "  --calibrate    fit ts/tw/op-cost from measured collective timings\n"
-      "                 and report the fit plus drift vs the configured\n"
-      "                 machine\n"
-      "  --calibrate-from S  timing source: simnet (deterministic, default)\n"
-      "                 or mpsim (wall-clock threads)\n"
-      "  --calibrate-json F  write the calibration fit as JSON to file F\n"
-      "  --rt-report    run the optimized program on the thread executor and\n"
-      "                 report runtime telemetry: per-rank busy/wait/queue\n"
-      "                 depth and per-stage wall-clock-vs-predicted drift\n"
-      "  --rt-json F    write the runtime report as JSON to file F\n"
-      "  --rt-trace F   write the flight-recorder capture as a Chrome trace\n"
-      "                 (send->recv flow arrows) to file F\n"
-      "  --rt-html F    write a self-contained HTML runtime report (timeline\n"
-      "                 + tables, no external assets) to file F\n"
-      "  --repeat N     run the threaded execution N times and report\n"
-      "                 min/median/stddev wall time (default 1)\n"
-      "  --warmup K     discard the first K threaded runs (default 0)\n"
-      "  --machine S    optimize against the 'configured' machine (default)\n"
-      "                 or the 'calibrated' one (measure + fit, then use\n"
-      "                 the fitted ts/tw)\n"
-      "program syntax:  map(pair|triple|quadruple|pi1|id) | scan(OP) |\n"
-      "                 reduce(OP[,root=K]) | allreduce(OP) | bcast[(root=K)] |\n"
-      "                 istart_reduce(OP[,root=K][,h=N]) | istart_allreduce(OP[,h=N]) |\n"
-      "                 istart_bcast[(root=K[,h=N])] | wait[(h=N)]\n"
-      "                 stages separated by ';'; OP: + * max min band bor gcd\n"
-      "                 +modN *modN f+ f* mat2 first\n";
+// Actions for the common operand shapes.
+auto set_flag(bool& target) {
+  return [&target](const std::string&) { target = true; };
+}
+auto set_int(int& target, long lo, const char* expected) {
+  return [&target, lo, expected](const std::string& v) {
+    target = parse_int(v, lo, INT_MAX, expected);
+  };
+}
+auto set_number(double& target) {
+  return [&target](const std::string& v) { target = parse_number(v); };
+}
+auto set_text(std::string& target) {
+  return [&target](const std::string& v) { target = v; };
+}
+
+/// `head` then `text` word-wrapped at 78 columns under a hanging indent.
+void wrap(std::ostream& os, const std::string& head, const std::string& text) {
+  constexpr std::size_t kIndent = 19, kWidth = 78;
+  std::string line = head.size() < kIndent
+                         ? head + std::string(kIndent - head.size(), ' ')
+                         : head + " ";
+  bool fresh = true;
+  std::istringstream words(text);
+  for (std::string w; words >> w;) {
+    if (!fresh && line.size() + 1 + w.size() > kWidth) {
+      os << line << "\n";
+      line.assign(kIndent, ' ');
+      fresh = true;
+    }
+    line += (fresh ? "" : " ") + w;
+    fresh = false;
+  }
+  os << line << "\n";
+}
+
+void print_usage(std::ostream& os, const std::vector<Flag>& flags) {
+  os << "usage: colopt [options] \"<program>\"\n"
+        "       colopt --diff A B [--diff-json F] [--diff-html F]\n"
+        "       colopt --runs [--store DIR]\n";
+  for (const Flag& f : flags)
+    wrap(os,
+         "  " + f.name + (f.operand == Operand::optional ? "" : " ") +
+             f.metavar,
+         f.help);
+  wrap(os, "program syntax:",
+       "map(pair|triple|quadruple|pi1|id) | scan(OP) | reduce(OP[,root=K]) | "
+       "allreduce(OP) | bcast[(root=K)] | istart_reduce(OP[,root=K][,h=N]) | "
+       "istart_allreduce(OP[,h=N]) | istart_bcast[(root=K[,h=N])] | "
+       "wait[(h=N)]; stages separated by ';'; OP: + * max min band bor gcd "
+       "+modN *modN f+ f* mat2 first");
+  wrap(os, "exit status:",
+       "0 ok; 1 runtime, parse, shape or IO error; 2 usage error (bad flag, "
+       "value or flag combination); 3 verification or contract failure (an "
+       "unsound rewrite under --verify, or a V2xx schedule error, with or "
+       "without --verify)");
+}
+
+using Example = ir::Program (*)(const std::vector<double>&);
+const std::map<std::string, Example> kExamples = {
+    {"polyeval1", apps::polyeval_1},
+    {"polyeval2", apps::polyeval_2},
+    {"polyeval3", apps::polyeval_3},
+    {"polyeval_sr2", apps::polyeval_sr2}};
+
+std::string kind_name(ir::Stage::Kind k) {
+  switch (k) {
+    case ir::Stage::Kind::Map: return "map";
+    case ir::Stage::Kind::MapIndexed: return "map#";
+    case ir::Stage::Kind::Scan: return "scan";
+    case ir::Stage::Kind::Reduce: return "reduce";
+    case ir::Stage::Kind::AllReduce: return "allreduce";
+    case ir::Stage::Kind::Bcast: return "bcast";
+    case ir::Stage::Kind::ScanBalanced: return "scan_balanced";
+    case ir::Stage::Kind::ReduceBalanced: return "reduce_balanced";
+    case ir::Stage::Kind::AllReduceBalanced: return "allreduce_balanced";
+    case ir::Stage::Kind::Iter: return "iter";
+    case ir::Stage::Kind::IStartReduce: return "istart_reduce";
+    case ir::Stage::Kind::IStartAllReduce: return "istart_allreduce";
+    case ir::Stage::Kind::IStartBcast: return "istart_bcast";
+    case ir::Stage::Kind::Wait: return "wait";
+  }
+  return "?";
+}
+
+std::vector<obs::StageRecord> stage_records(
+    const ir::Program& prog, const model::Machine& machine,
+    const std::vector<std::string>& provenance) {
+  std::vector<obs::StageRecord> out;
+  for (const auto& stage : prog.stages()) {
+    obs::StageRecord rec;
+    rec.index = static_cast<int>(out.size());
+    rec.label = stage->show();
+    rec.kind = kind_name(stage->kind());
+    rec.local = stage->is_local();
+    if (out.size() < provenance.size()) rec.rule = provenance[out.size()];
+    rec.model_time = model::stage_cost(*stage).eval(machine);
+    out.push_back(std::move(rec));
+  }
+  return out;
+}
+
+obs::SearchRecord search_record(const rules::SearchResult& res) {
+  obs::SearchRecord s;
+  s.strategy = rules::strategy_name(res.strategy);
+  s.beam_width = res.beam_width;
+  s.nodes_expanded = res.stats.nodes_expanded;
+  s.nodes_generated = res.stats.nodes_generated;
+  s.pruned_bound = res.stats.pruned_by_bound;
+  s.pruned_beam = res.stats.pruned_by_beam;
+  s.pruned_budget = res.stats.pruned_by_budget;
+  s.memo_hits = res.stats.memo_hits;
+  s.memo_entries = res.stats.memo_entries;
+  s.frontier_peak = res.stats.frontier_peak;
+  s.depth = res.stats.depth_reached;
+  s.greedy_cost = res.greedy_cost;
+  s.winner_cost = res.best.cost_final;
+  s.winner_certified = res.winner_index < res.ranked.size() &&
+                       res.ranked[res.winner_index].certified == 1;
+  for (const auto& r : res.ranked)
+    s.ranked.push_back({r.cost, r.path_text(), r.certified});
+  return s;
+}
+
+std::string strategy_label(const rules::SearchResult* res) {
+  if (res == nullptr) return "greedy";
+  switch (res->strategy) {
+    case rules::SearchStrategy::beam:
+      return "beam search, width " + (res->beam_width == 0
+                                          ? std::string("unbounded")
+                                          : std::to_string(res->beam_width));
+    case rules::SearchStrategy::branch_bound:
+      return "branch-and-bound search";
+    default:
+      return "exhaustive search";
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace colop;
-
   model::Machine machine{.p = 64, .m = 1024, .ts = 400, .tw = 2};
-  bool exhaustive_flag = false;
-  std::optional<rules::SearchStrategy> opt_strategy;
-  std::size_t beam_width = 8;
-  bool beam_width_set = false;
-  bool search_report = false;
-  std::string search_report_json;
-  bool timeline = false;
-  bool explain = false;
-  bool drift = false;
-  bool profile = false;
-  bool calibrate = false;
-  bool use_calibrated = false;
-  bool rt_report = false;
-  bool verify = false;
-  bool lint = false;
-  std::string verify_json;
-  int repeat = 1;
-  int warmup = 0;
-  int serve_port = -1;  // -1 = no --serve; 0 = ephemeral
-  bool live = false;    // --live: serve in-flight telemetry mid-run
-  std::string calibrate_from = "simnet";
-  std::string explain_json, trace_file, metrics_file, drift_json, example;
-  std::string profile_json, profile_trace, calibrate_json;
-  std::string rt_json, rt_trace, rt_html;
-  bool record = false;
-  std::string record_dir, store_dir;
-  std::vector<std::string> diff_args;
-  std::string diff_json, diff_html;
-  bool overlap = false;      // --overlap: enable the split-phase rules
-  int overlap_segments = 4;  // pipeline depth of each overlap window
   rules::OptimizerOptions options;
-  rules::ExplainLog explain_log;
+  bool exhaustive = false;
+  std::optional<rules::SearchStrategy> strategy;
+  int beam_width = 0;  // 0: not given (8 under --opt=beam)
+  bool overlap = false;
+  int overlap_segments = 4;  // pipeline depth of each overlap window
+  bool lint = false, use_calibrated = false, timeline = false;
+  bool live = false, record = false, list_runs = false;
+  int serve_port = -1;  // -1 = no --serve; 0 = ephemeral
+  int repeat = 1, warmup = 0;
+  std::string calibrate_from = "simnet";
+  std::string example, trace_file, metrics_file, record_dir, store_dir;
   std::string program_text;
+  Reports rep;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
+  using enum Operand;
+  constexpr const char* kPositive = "a positive integer";
+  std::vector<Flag> flags = {
+      {"--p", required, "N", "processors (default 64)",
+       set_int(machine.p, 1, kPositive)},
+      {"--m", required, "N", "block size in elements (default 1024)",
+       set_number(machine.m)},
+      {"--ts", required, "X", "message start-up time in op units (default 400)",
+       set_number(machine.ts)},
+      {"--tw", required, "X", "per-word transfer time in op units (default 2)",
+       set_number(machine.tw)},
+      {"--opt", required, "S",
+       "schedule-search strategy: greedy (one-step greedy rewriting, "
+       "default), beam (cost-guided beam search), bnb (branch-and-bound "
+       "with an admissible lower bound), or exhaustive (breadth-first over "
+       "all rule sequences).  Search strategies explore rule-order "
+       "permutations the greedy optimizer never sees, seed their incumbent "
+       "with the greedy result (never worse), and re-discharge the winning "
+       "sequence's rewrite certificates before returning it",
+       [&](const std::string& v) {
+         strategy = rules::parse_strategy(v);
+         if (!strategy) throw BadValue{"greedy, beam, bnb or exhaustive"};
+       }},
+      {"--beam-width", required, "N",
+       "beam frontier width (default 8; --opt=beam only)",
+       set_int(beam_width, 1, kPositive)},
+      {"--exhaustive", none, "", "alias for --opt=exhaustive",
+       set_flag(exhaustive)},
+      {"--strict", none, "",
+       "require full equivalence (reject root-only rewrites unless masked "
+       "by a later bcast)",
+       [&](const std::string&) {
+         options.policy = rules::EquivalencePolicy::strict;
+       }},
+      {"--max-mem", required, "N",
+       "memory budget: reject rewrites whose peak element width exceeds N "
+       "words, N >= 1 (Section 4.2's caveat)",
+       set_int(options.max_elem_words, 1, kPositive)},
+      {"--overlap", optional, "[=K]",
+       "enable the split-phase overlap rules (Overlap-Split, Wait-Sink): "
+       "collectives followed by elementwise maps are rewritten to istart_C "
+       "; map... ; wait windows the executor pipelines in K segments "
+       "(default 4, K >= 2).  Works with every --opt strategy and with "
+       "--verify, whose V22x split-phase contracts gate the result",
+       [&](const std::string& v) {
+         overlap = true;
+         if (!v.empty())
+           overlap_segments =
+               parse_int(v, 2, INT_MAX,
+                         "a pipeline depth >= 2 (K segments per window)");
+       }},
+      {"--example", required, "NAME",
+       "use a built-in program instead of the text syntax: "
+       "polyeval1|polyeval2|polyeval3|polyeval_sr2 (Section 5, "
+       "coefficients 1..p)",
+       [&](const std::string& v) {
+         if (!kExamples.count(v))
+           throw BadValue{"polyeval1, polyeval2, polyeval3 or polyeval_sr2"};
+         example = v;
+       }},
+      {"--machine", required, "S",
+       "optimize against the 'configured' machine (default) or the "
+       "'calibrated' one (measure + fit, then use the fitted ts/tw)",
+       [&](const std::string& v) {
+         if (v != "configured" && v != "calibrated")
+           throw BadValue{"configured or calibrated"};
+         use_calibrated = v == "calibrated";
+       }},
+      {"--calibrate-from", required, "S",
+       "calibration timing source: simnet (deterministic, default) or mpsim "
+       "(wall-clock threads); implies --calibrate",
+       [&](const std::string& v) {
+         if (v != "simnet" && v != "mpsim") throw BadValue{"simnet or mpsim"};
+         calibrate_from = v;
+         rep.on[kCalibrate] = true;
+       }},
+      {"--lint", none, "",
+       "also report lint-severity findings (missed fusions, packed-plane "
+       "ineligibility); implies --verify",
+       [&](const std::string&) { lint = rep.on[kVerify] = true; }},
+      {"--timeline", none, "", "render before/after per-processor timelines",
+       set_flag(timeline)},
+      {"--trace", required, "F",
+       "write a Chrome trace (chrome://tracing, Perfetto) of the optimized "
+       "program's simulated execution to file F",
+       set_text(trace_file)},
+      {"--metrics", required, "F",
+       "write run metrics to file F through the telemetry registry (.prom "
+       "for Prometheus text, JSON otherwise)",
+       set_text(metrics_file)},
+      {"--repeat", required, "N",
+       "run the threaded execution N times and report min/median/stddev "
+       "wall time (default 1)",
+       set_int(repeat, 1, kPositive)},
+      {"--warmup", required, "K", "discard the first K threaded runs (default 0)",
+       set_int(warmup, 0, "a non-negative integer")},
+      {"--serve", optional, "[=PORT]",
+       "run the program on the thread executor, then serve the telemetry "
+       "registry over HTTP on 127.0.0.1:PORT (default: a kernel-assigned "
+       "ephemeral port, printed on stdout): /metrics /metrics.json /runs "
+       "/runs/<trace_id> /live /live.json /healthz",
+       [&](const std::string& v) {
+         serve_port =
+             v.empty() ? 0 : parse_int(v, 0, 65535, "a port in 0..65535");
+       }},
+      {"--live", none, "",
+       "with --serve: start the server *before* execution and stream "
+       "in-flight telemetry — /metrics moves mid-run, /live streams "
+       "snapshots as Server-Sent Events (watch with tools/colop_top), "
+       "/healthz reports idle|running|stalled; pair with --repeat N to make "
+       "the run long enough to watch",
+       set_flag(live)},
+      {"--record", optional, "[=DIR]",
+       "archive this run as a forensics bundle — manifest (identity, "
+       "machine, schedule IR, applied rules, cost summary) plus every JSON "
+       "artifact the run emits — under DIR/<trace_id>/ (default "
+       "$COLOP_RUN_DIR, else .colop/runs); honors $COLOP_RUN_RETENTION, "
+       "e.g. \"count=32,age=604800\"",
+       [&](const std::string& v) {
+         record = true;
+         if (!v.empty()) record_dir = v;
+       }},
+      {"--store", required, "DIR",
+       "run-store root for --runs, --diff and --serve lookups (default: the "
+       "--record DIR, else $COLOP_RUN_DIR, else .colop/runs)",
+       set_text(store_dir)},
+      {"--runs", none, "", "list the archived runs, most recent first, and exit",
+       set_flag(list_runs)},
+      {"--rules", none, "", "list the rule catalog and exit",
+       [](const std::string&) {
+         for (const auto& r : rules::all_rules())
+           std::cout << r->name() << ":\n    " << r->description() << "\n";
+         for (const auto& r : rules::overlap_rules())
+           std::cout << r->name() << " (--overlap only):\n    "
+                     << r->description() << "\n";
+         std::exit(0);
+       }},
+  };
+  // Each report contributes its mode flag and one flag per declared file;
+  // a file flag implies the mode.
+  for (int r = 0; r < kReportCount; ++r) {
+    const ReportDecl& d = kReports[r];
+    flags.push_back({d.mode, d.operands ? pair : none,
+                     d.operands ? d.operands : "", d.help,
+                     [&rep, r](const std::string& v) {
+                       rep.on[r] = true;
+                       auto& args = rep.args[r];
+                       if (v.empty()) return;
+                       if (args.size() == 2) args.clear();  // last one wins
+                       args.push_back(v);
+                     }});
+    for (std::size_t i = 0; i < d.files.size(); ++i)
+      flags.push_back({std::string(d.stem) + d.files[i].suffix,
+                       required, "F", d.files[i].help,
+                       [&rep, r, i](const std::string& v) {
+                         rep.on[r] = true;
+                         rep.paths[r][i] = v;
+                       }});
+  }
+  flags.push_back({"--help", none, "", "print this help and exit",
+                   [&](const std::string&) {
+                     print_usage(std::cout, flags);
+                     std::exit(0);
+                   }});
+
+  try {
+    for (int i = 1; i < argc; ++i) {
+      std::string arg = argv[i];
+      if (arg == "-h") arg = "--help";
+      if (arg.empty() || arg[0] != '-') {
+        program_text = arg;
+        continue;
       }
-      return argv[++i];
-    };
-    if (arg == "--p") {
-      machine.p = parse_int(arg, next());
-      if (machine.p < 1) bad_value(arg, argv[i], "a positive integer");
-    } else if (arg == "--m") {
-      machine.m = parse_double(arg, next());
-      if (machine.m < 0) bad_value(arg, argv[i], "a non-negative number");
-    } else if (arg == "--ts") {
-      machine.ts = parse_double(arg, next());
-      if (machine.ts < 0) bad_value(arg, argv[i], "a non-negative number");
-    } else if (arg == "--tw") {
-      machine.tw = parse_double(arg, next());
-      if (machine.tw < 0) bad_value(arg, argv[i], "a non-negative number");
-    } else if (arg == "--exhaustive") {
-      exhaustive_flag = true;
-    } else if (arg == "--opt" || arg.rfind("--opt=", 0) == 0) {
-      const std::string which = arg == "--opt" ? next() : arg.substr(6);
-      const auto strategy = rules::parse_strategy(which);
-      if (!strategy)
-        bad_value("--opt", which.c_str(), "greedy, beam, bnb or exhaustive");
-      opt_strategy = *strategy;
-    } else if (arg == "--beam-width" || arg.rfind("--beam-width=", 0) == 0) {
-      const std::string text =
-          arg == "--beam-width" ? next() : arg.substr(13);
-      const int w = parse_int("--beam-width", text.c_str());
-      if (w < 1) bad_value("--beam-width", text.c_str(), "a positive integer");
-      beam_width = static_cast<std::size_t>(w);
-      beam_width_set = true;
-    } else if (arg == "--search-report") {
-      search_report = true;
-    } else if (arg == "--search-report-json") {
-      search_report_json = next();
-    } else if (arg.rfind("--search-report-json=", 0) == 0) {
-      search_report_json = arg.substr(21);
-      if (search_report_json.empty())
-        bad_value("--search-report-json", "", "a file name");
-    } else if (arg == "--overlap") {
-      overlap = true;
-    } else if (arg.rfind("--overlap=", 0) == 0) {
-      overlap = true;
-      overlap_segments = parse_int("--overlap", arg.c_str() + 10);
-      if (overlap_segments < 2)
-        bad_value("--overlap", arg.c_str() + 10,
-                  "a pipeline depth >= 2 (K segments per window)");
-    } else if (arg == "--strict") {
-      options.policy = rules::EquivalencePolicy::strict;
-    } else if (arg == "--max-mem") {
-      options.max_elem_words = parse_int(arg, next());
-    } else if (arg == "--timeline") {
-      timeline = true;
-    } else if (arg == "--explain") {
-      explain = true;
-    } else if (arg == "--explain-json") {
-      explain_json = next();
-      explain = true;
-    } else if (arg == "--trace") {
-      trace_file = next();
-    } else if (arg == "--metrics") {
-      metrics_file = next();
-    } else if (arg == "--drift") {
-      drift = true;
-    } else if (arg == "--drift-json") {
-      drift_json = next();
-      drift = true;
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg == "--profile-json") {
-      profile_json = next();
-      profile = true;
-    } else if (arg == "--profile-trace") {
-      profile_trace = next();
-      profile = true;
-    } else if (arg == "--calibrate") {
-      calibrate = true;
-    } else if (arg == "--calibrate-from") {
-      calibrate_from = next();
-      calibrate = true;
-      if (calibrate_from != "simnet" && calibrate_from != "mpsim")
-        bad_value(arg, calibrate_from.c_str(), "simnet or mpsim");
-    } else if (arg == "--calibrate-json") {
-      calibrate_json = next();
-      calibrate = true;
-    } else if (arg == "--verify") {
-      verify = true;
-    } else if (arg == "--verify-json") {
-      verify_json = next();
-      verify = true;
-    } else if (arg == "--lint") {
-      lint = true;
-      verify = true;
-    } else if (arg == "--rt-report") {
-      rt_report = true;
-    } else if (arg == "--rt-json") {
-      rt_json = next();
-      rt_report = true;
-    } else if (arg == "--rt-trace") {
-      rt_trace = next();
-      rt_report = true;
-    } else if (arg == "--rt-html") {
-      rt_html = next();
-      rt_report = true;
-    } else if (arg == "--repeat") {
-      repeat = parse_int(arg, next());
-      if (repeat < 1) bad_value(arg, argv[i], "a positive integer");
-    } else if (arg == "--warmup") {
-      warmup = parse_int(arg, next());
-      if (warmup < 0) bad_value(arg, argv[i], "a non-negative integer");
-    } else if (arg == "--record") {
-      record = true;
-    } else if (arg.rfind("--record=", 0) == 0) {
-      record = true;
-      record_dir = arg.substr(9);
-      if (record_dir.empty()) bad_value("--record", "", "a directory");
-    } else if (arg == "--store") {
-      store_dir = next();
-    } else if (arg == "--diff") {
-      diff_args = {next(), next()};
-    } else if (arg == "--diff-json") {
-      diff_json = next();
-    } else if (arg == "--diff-html") {
-      diff_html = next();
-    } else if (arg == "--serve") {
-      serve_port = 0;
-    } else if (arg.rfind("--serve=", 0) == 0) {
-      serve_port = parse_int("--serve", arg.c_str() + 8);
-      if (serve_port < 0 || serve_port > 65535)
-        bad_value("--serve", arg.c_str() + 8, "a port in 0..65535");
-    } else if (arg == "--live") {
-      live = true;
-    } else if (arg == "--machine") {
-      const std::string which = next();
-      if (which == "calibrated")
-        use_calibrated = true;
-      else if (which != "configured")
-        bad_value(arg, which.c_str(), "configured or calibrated");
-    } else if (arg == "--example") {
-      example = next();
-    } else if (arg == "--rules") {
-      for (const auto& r : rules::all_rules())
-        std::cout << r->name() << ":\n    " << r->description() << "\n";
-      for (const auto& r : rules::overlap_rules())
-        std::cout << r->name() << " (--overlap only):\n    "
-                  << r->description() << "\n";
-      return 0;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown option: " << arg << "\n";
-      usage();
-      return 2;
-    } else {
-      program_text = arg;
+      const auto eq = arg.find('=');
+      const std::string name = arg.substr(0, eq);
+      const auto flag = std::find_if(flags.begin(), flags.end(),
+                                     [&](const Flag& f) { return f.name == name; });
+      if (flag == flags.end()) throw UsageError{"unknown option: " + arg};
+      // One operand: inline (`--f=V`, the first operand only) or the next
+      // argument.
+      const auto operand = [&](bool inline_ok) {
+        std::string v;
+        if (inline_ok && eq != std::string::npos)
+          v = arg.substr(eq + 1);
+        else if (i + 1 < argc)
+          v = argv[++i];
+        else
+          throw UsageError{"missing value for " + name};
+        if (v.empty()) throw BadValue{"a value"};
+        return v;
+      };
+      std::string v;
+      try {
+        switch (flag->operand) {
+          case none:
+            if (eq != std::string::npos)
+              throw UsageError{name + " takes no value"};
+            flag->act(v);
+            break;
+          case optional:
+            if (eq != std::string::npos) v = operand(true);
+            flag->act(v);
+            break;
+          case required:
+            flag->act(v = operand(true));
+            break;
+          case pair:
+            flag->act(v = operand(true));
+            flag->act(v = operand(false));
+            break;
+        }
+      } catch (const BadValue& b) {
+        throw UsageError{"bad value for " + name + ": '" + v + "' (expected " +
+                         b.expected + ")"};
+      }
     }
-  }
-  // Search-flag consistency (exit 2 like any other usage error: a flag
-  // combination that cannot mean what the user intended must not be
-  // silently reinterpreted).
-  if (exhaustive_flag) {
-    if (opt_strategy &&
-        *opt_strategy != rules::SearchStrategy::exhaustive) {
-      std::cerr << "--exhaustive conflicts with --opt="
-                << rules::strategy_name(*opt_strategy) << "\n\n";
-      usage();
-      return 2;
+    // Cross-flag checks: a combination that cannot mean what the user
+    // intended must not be silently reinterpreted.
+    if (exhaustive) {
+      if (strategy && *strategy != rules::SearchStrategy::exhaustive)
+        throw UsageError{"--exhaustive conflicts with --opt=" +
+                         std::string(rules::strategy_name(*strategy))};
+      strategy = rules::SearchStrategy::exhaustive;
     }
-    opt_strategy = rules::SearchStrategy::exhaustive;
-  }
-  const bool searching =
-      opt_strategy && *opt_strategy != rules::SearchStrategy::greedy;
-  if (beam_width_set &&
-      (!opt_strategy || *opt_strategy != rules::SearchStrategy::beam)) {
-    std::cerr << "--beam-width is only meaningful with --opt=beam\n\n";
-    usage();
+    if (beam_width != 0 && strategy != rules::SearchStrategy::beam)
+      throw UsageError{"--beam-width is only meaningful with --opt=beam"};
+    if (rep.on[kSearch] &&
+        (!strategy || *strategy == rules::SearchStrategy::greedy))
+      throw UsageError{
+          "--search-report requires a search strategy (--opt=beam, "
+          "--opt=bnb or --opt=exhaustive)"};
+    if (live && serve_port < 0)
+      throw UsageError{
+          "--live requires --serve (it streams through the stats server)"};
+    if (live && (!rt::kCompiledIn || !rt::config().enabled))
+      throw UsageError{
+          "--live reads the rank threads' flight recorders, which are off "
+          "(COLOP_RT=0 or compiled out)"};
+    for (int r = 0; r < kReportCount; ++r)
+      if (kReports[r].operands && rep.on[r] && rep.args[r].empty())
+        throw UsageError{std::string(kReports[r].stem) + "-* files need " +
+                         kReports[r].mode + " " + kReports[r].operands};
+    if (!list_runs && !rep.on[kDiff] && program_text.empty() &&
+        example.empty())
+      throw UsageError{"no program given"};
+  } catch (const UsageError& e) {
+    std::cerr << e.message << "\n\n";
+    print_usage(std::cerr, flags);
     return 2;
   }
-  if ((search_report || !search_report_json.empty()) && !searching) {
-    std::cerr << "--search-report requires a search strategy "
-                 "(--opt=beam, --opt=bnb or --opt=exhaustive)\n\n";
-    usage();
-    return 2;
-  }
-  if (live && serve_port < 0) {
-    std::cerr << "--live requires --serve (it streams through the stats "
-                 "server)\n\n";
-    usage();
-    return 2;
-  }
-  if (live && (!rt::kCompiledIn || !rt::config().enabled)) {
-    std::cerr << "--live reads the rank threads' flight recorders, which "
-                 "are off (COLOP_RT=0 or compiled out)\n\n";
-    usage();
-    return 2;
-  }
+  const bool searching = strategy && *strategy != rules::SearchStrategy::greedy;
 
   // --overlap works with every strategy (greedy just appends the overlap
   // rules to its catalog); the segment count rides to the thread executor
   // through the environment, read once before rank threads spawn.
   if (overlap)
-    ::setenv("COLOP_OVERLAP_SEGMENTS",
-             std::to_string(overlap_segments).c_str(), 1);
+    ::setenv("COLOP_OVERLAP_SEGMENTS", std::to_string(overlap_segments).c_str(),
+             1);
 
   // Store root: --record=DIR wins (what we write is what we read), then
   // --store, then the environment/default.
-  const std::string store_root = !record_dir.empty() ? record_dir
-                                 : !store_dir.empty()
-                                     ? store_dir
-                                     : obs::RunStore::default_root();
+  const std::string store_root = !record_dir.empty()  ? record_dir
+                                 : !store_dir.empty() ? store_dir
+                                                      : obs::RunStore::default_root();
 
-  if (!diff_args.empty()) {
-    // Forensics diff mode: pure archive analysis, no program run, no fresh
-    // trace id (the diff carries the two recorded ids).
-    try {
-      const obs::RunStore store(store_root);
-      const obs::RunBundle a = obs::load_run_or_file(store, diff_args[0]);
-      const obs::RunBundle b = obs::load_run_or_file(store, diff_args[1]);
-      const obs::RunDiff d = obs::diff_runs(a, b);
-      std::cout << d.render_text();
-      if (!diff_json.empty()) {
-        auto f = open_output(diff_json);
-        d.write_json(f);
-        std::cout << "\nrun diff written to " << diff_json << "\n";
-      }
-      if (!diff_html.empty()) {
-        auto f = open_output(diff_html);
-        d.write_html(f);
-        std::cout << "run diff HTML report written to " << diff_html << "\n";
-      }
-      return 0;
-    } catch (const Error& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 1;
-    }
-  }
-
-  if (program_text.empty() && example.empty()) {
-    usage();
-    return 2;
-  }
+  // Destruction order matters for --serve: the server (workers may read
+  // the sampler) goes down first, then the sampler (its thread writes the
+  // hub), then the hub.
+  obs::Registry hub;
+  std::optional<rt::LiveSampler> live_sampler;
+  std::optional<obs::StatsServer> server;
 
   try {
+    // Archive modes: no program run, no fresh trace id.
+    if (list_runs) {
+      const obs::RunStore store(store_root);
+      const auto ids = store.list();
+      if (ids.empty())
+        std::cout << "no archived runs in " << store.root()
+                  << " (record with colopt --record)\n";
+      for (const auto& id : ids) {
+        const obs::RunBundle b = store.load(id);
+        std::cout << id << "  " << b.timestamp << "  p=" << b.machine.p
+                  << " m=" << b.machine.m << "  " << b.program_after << "\n";
+      }
+      return 0;
+    }
+    if (rep.on[kDiff]) {
+      const obs::RunStore store(store_root);
+      const obs::RunDiff d =
+          obs::diff_runs(obs::load_run_or_file(store, rep.args[kDiff][0]),
+                         obs::load_run_or_file(store, rep.args[kDiff][1]));
+      rep.show(kDiff, {d.render_text(),
+                       {[&](std::ostream& os) { d.write_json(os); },
+                        [&](std::ostream& os) { d.write_html(os); }}});
+      return 0;
+    }
+
     ir::Program program;
     if (!example.empty()) {
       std::vector<double> coeffs(static_cast<std::size_t>(machine.p));
       for (std::size_t i = 0; i < coeffs.size(); ++i)
         coeffs[i] = static_cast<double>(i + 1);
-      if (example == "polyeval1")
-        program = apps::polyeval_1(coeffs);
-      else if (example == "polyeval2")
-        program = apps::polyeval_2(coeffs);
-      else if (example == "polyeval3")
-        program = apps::polyeval_3(coeffs);
-      else if (example == "polyeval_sr2")
-        program = apps::polyeval_sr2(coeffs);
-      else {
-        std::cerr << "unknown example: " << example << "\n";
-        return 2;
-      }
+      program = kExamples.at(example)(coeffs);
     } else {
       program = ir::parse_program(program_text);
     }
@@ -533,27 +702,33 @@ int main(int argc, char** argv) {
               << " ts=" << machine.ts << " tw=" << machine.tw << "\n";
     std::cout << "trace   : " << obs::trace_id() << "\n\n";
 
-    if (calibrate || use_calibrated) {
-      const auto timings = calibrate_from == "mpsim"
-                               ? obs::measure_mpsim_timings()
-                               : obs::measure_simnet_timings(machine);
-      auto fit = model::fit_machine(timings);
-      fit.source = calibrate_from;
-      if (calibrate) {
-        std::cout << fit.render_text();
-        std::cout << obs::machine_drift(machine, fit).render_text() << "\n";
-        if (!calibrate_json.empty()) {
-          auto f = open_output(calibrate_json);
-          fit.write_json(f);
-          std::cout << "calibration written to " << calibrate_json << "\n\n";
-        }
-      }
+    std::optional<model::CalibrationResult> fit;
+    if (rep.on[kCalibrate] || use_calibrated) {
+      fit = model::fit_machine(calibrate_from == "mpsim"
+                                   ? obs::measure_mpsim_timings()
+                                   : obs::measure_simnet_timings(machine));
+      fit->source = calibrate_from;
+      rep.show(kCalibrate,
+               {fit->render_text() +
+                    obs::machine_drift(machine, *fit).render_text() + "\n",
+                {[&](std::ostream& os) { fit->write_json(os); }}});
       if (use_calibrated) {
-        machine = fit.machine(machine.p, machine.m);
+        machine = fit->machine(machine.p, machine.m);
         std::cout << "machine : (calibrated from " << calibrate_from
                   << ") ts=" << machine.ts << " tw=" << machine.tw << "\n\n";
       }
     }
+
+    // The verification report, shown by the pre-check below or by --verify.
+    std::optional<verify::VerifyResult> vres;
+    const auto show_verify = [&] {
+      rep.show(kVerify, {vres->render_text(lint),
+                         {[&](std::ostream& os) {
+                           vres->write_json(os, lint);
+                           os << "\n";
+                         }}});
+      return vres->exit_code();
+    };
 
     // A schedule with a contract error (V2xx: a root out of range, a
     // collective over blocks undefined on p-1 ranks, ...) stops here with
@@ -566,37 +741,32 @@ int main(int argc, char** argv) {
       verify::VerifyResult pre;
       pre.report = verify::analyze_schedule(program, sched);
       if (!pre.ok()) {
-        std::cout << pre.render_text(lint);
-        if (!verify_json.empty()) {
-          auto f = open_output(verify_json);
-          pre.write_json(f, lint);
-          f << "\n";
-        }
-        return pre.exit_code();
+        vres = std::move(pre);
+        rep.on[kVerify] = true;
+        return show_verify();
       }
     }
 
     // The telemetry hub wants the optimizer's attempt log even when the
     // user didn't ask for --explain: rule attempted/rejected counters come
-    // from it.  A recorded bundle archives the hub snapshot and the explain
-    // log, so --record implies both.
-    const bool hub_wanted =
-        serve_port >= 0 || !metrics_file.empty() || record;
-    if (explain || hub_wanted) options.explain = &explain_log;
+    // from it.  A recorded bundle archives the hub snapshot, the explain
+    // log and the profile, so --record implies all three.
+    const bool hub_wanted = serve_port >= 0 || !metrics_file.empty() || record;
+    rules::ExplainLog explain_log;
+    if (rep.on[kExplain] || hub_wanted) options.explain = &explain_log;
     auto rule_set = rules::all_rules();
     if (overlap)
       for (auto& r : rules::overlap_rules()) rule_set.push_back(std::move(r));
-    const rules::Optimizer optimizer(machine, rule_set, options);
     std::optional<rules::SearchResult> search_res;
-    bool winner_fell_back = false;
-    bool winner_demoted = false;
+    bool winner_fell_back = false, winner_demoted = false;
     std::vector<std::string> winner_not_evaluable;
     rules::OptimizeResult result;
     if (searching) {
       rules::SearchOptions sopts;
-      sopts.strategy = *opt_strategy;
-      sopts.beam_width =
-          *opt_strategy == rules::SearchStrategy::beam ? beam_width : 0;
+      sopts.strategy = *strategy;
+      sopts.beam_width = *strategy != rules::SearchStrategy::beam ? 0
+                         : beam_width != 0                        ? beam_width
+                                                                  : 8;
       sopts.base = options;
       const rules::SearchOptimizer searcher(machine, rule_set, sopts);
       // The soundness gate: re-discharge every ranked schedule's rewrite
@@ -610,45 +780,23 @@ int main(int argc, char** argv) {
       search_res = std::move(cert.search);
       result = search_res->best;
     } else {
-      result = optimizer.optimize(program);
+      result = rules::Optimizer(machine, rule_set, options).optimize(program);
     }
 
-    if (explain) {
-      if (searching) {
-        std::cout << "(--explain records the greedy strategy only)\n";
-      } else {
-        std::cout << "rule attempts (every rule x position, per step):\n"
-                  << explain_log.render_text(true) << "\n";
-      }
-      if (!explain_json.empty()) {
-        auto f = open_output(explain_json);
-        explain_log.write_json(f);
-        std::cout << "explain log written to " << explain_json << "\n";
-      }
-    }
+    if (rep.on[kExplain] || record)
+      rep.show(kExplain,
+               {searching ? "(--explain records the greedy strategy only)\n"
+                          : "rule attempts (every rule x position, per step):\n" +
+                                explain_log.render_text(true) + "\n",
+                {[&](std::ostream& os) { explain_log.write_json(os); }},
+                !searching});
 
-    std::string strategy_label = "greedy";
-    if (searching) {
-      switch (*opt_strategy) {
-        case rules::SearchStrategy::beam:
-          strategy_label =
-              "beam search, width " + (search_res->beam_width == 0
-                                           ? std::string("unbounded")
-                                           : std::to_string(
-                                                 search_res->beam_width));
-          break;
-        case rules::SearchStrategy::branch_bound:
-          strategy_label = "branch-and-bound search";
-          break;
-        default:
-          strategy_label = "exhaustive search";
-          break;
-      }
-    }
     if (result.log.empty()) {
       std::cout << "no profitable rewrite on this machine.\n";
     } else {
-      std::cout << "derivation (" << strategy_label << "):\n";
+      std::cout << "derivation ("
+                << strategy_label(search_res ? &*search_res : nullptr)
+                << "):\n";
       for (const auto& step : result.log) {
         std::cout << "  " << step.rule << " @" << step.position;
         if (!step.note.empty()) std::cout << " {" << step.note << "}";
@@ -676,31 +824,22 @@ int main(int argc, char** argv) {
     }
     std::cout << "\n";
 
-    if (search_report) std::cout << search_res->render_report() << "\n";
-    if (!search_report_json.empty()) {
-      auto f = open_output(search_report_json);
-      search_res->write_json(f);
-      std::cout << "search report written to " << search_report_json << "\n\n";
-    }
+    if (search_res)
+      rep.show(kSearch,
+               {search_res->render_report() + "\n",
+                {[&](std::ostream& os) { search_res->write_json(os); }}});
 
-    std::optional<verify::VerifyResult> vres;
-    if (verify) {
+    if (rep.on[kVerify]) {
       verify::VerifyOptions vopts;
       vopts.p = machine.p;
       vopts.lints = lint;
       vres = verify::verify_program(program, &result, vopts);
-      std::cout << vres->render_text(lint);
-      if (!verify_json.empty()) {
-        auto f = open_output(verify_json);
-        vres->write_json(f, lint);
-        f << "\n";
-        std::cout << "verification report written to " << verify_json << "\n";
-      }
+      const int code = show_verify();
       std::cout << "\n";
       // An unsound schedule stops at the report with exit 3: it is neither
       // simulated nor run (an out-of-range root names a rank neither side
       // has).
-      if (const int code = vres->exit_code(); code != 0) return code;
+      if (code != 0) return code;
     }
 
     Table t("prediction", {"version", "analytic cost", "simnet time",
@@ -737,59 +876,72 @@ int main(int argc, char** argv) {
           exec::trace_on_simnet(result.program, machine, {}, &machine_events);
       auto events = exec::trace_events(tr);
       for (const auto& ev : machine_events.events()) events.push_back(ev);
-      auto f = open_output(trace_file);
-      obs::write_chrome_trace(events, f, "colopt");
-      std::cout << "\nChrome trace (" << events.size() << " events) written to "
-                << trace_file << "\n";
+      emit(trace_file,
+           "\nChrome trace (" + std::to_string(events.size()) + " events)",
+           [&](std::ostream& os) {
+             obs::write_chrome_trace(events, os, "colopt");
+           });
     }
 
-    std::string drift_artifact;
-    if (drift) {
-      const auto ro = obs::drift_report(program, machine);
-      const auto rr = obs::drift_report(result.program, machine);
-      std::cout << "\n" << ro.render_text() << "\n" << rr.render_text();
-      std::ostringstream ss;
-      ss << "{\"original\":";
-      ro.write_json(ss);
-      ss << ",\"optimized\":";
-      rr.write_json(ss);
-      ss << "}\n";
-      drift_artifact = ss.str();
-      if (!drift_json.empty()) {
-        auto f = open_output(drift_json);
-        f << drift_artifact;
-        std::cout << "drift report written to " << drift_json << "\n";
-      }
+    std::optional<obs::DriftReport> drift_orig, drift_opt;
+    if (rep.on[kDrift]) {
+      drift_orig = obs::drift_report(program, machine);
+      drift_opt = obs::drift_report(result.program, machine);
+      rep.show(kDrift, {"\n" + drift_orig->render_text() + "\n" +
+                            drift_opt->render_text(),
+                        {[&](std::ostream& os) {
+                          os << "{\"original\":";
+                          drift_orig->write_json(os);
+                          os << ",\"optimized\":";
+                          drift_opt->write_json(os);
+                          os << "}\n";
+                        }}});
     }
 
-    if (profile) {
+    const auto provenance = rules::stage_provenance(program.size(), result.log);
+    std::optional<obs::Profile> prof;
+    if (rep.on[kProfile] || record) {
       obs::ProfileOptions popts;
-      popts.provenance = rules::stage_provenance(program.size(), result.log);
-      const auto prof = obs::profile_program(result.program, machine, popts);
-      std::cout << "\n" << prof.render_text();
-      if (!profile_json.empty()) {
-        auto f = open_output(profile_json);
-        prof.write_json(f);
-        std::cout << "profile written to " << profile_json << "\n";
-      }
-      if (!profile_trace.empty()) {
-        auto f = open_output(profile_trace);
-        prof.write_chrome_trace(f);
-        std::cout << "profile trace written to " << profile_trace << "\n";
-      }
+      popts.provenance = provenance;
+      prof = obs::profile_program(result.program, machine, popts);
+      rep.show(kProfile,
+               {"\n" + prof->render_text(),
+                {[&](std::ostream& os) { prof->write_json(os); },
+                 [&](std::ostream& os) { prof->write_chrome_trace(os); }}});
     }
 
-    // Telemetry hub: the typed registry behind --metrics and --serve.
-    // Declared before the execution block so --live can fold in-flight
-    // samples into the same registry the server exports.  Destruction
-    // order matters: the server (workers may read the sampler) goes down
-    // first, then the sampler (its thread writes the hub), then the hub.
-    obs::Registry hub;
-    std::optional<rt::LiveSampler> live_sampler;
-    std::optional<obs::StatsServer> server;
+    // --serve: one run summary for /runs, whether the server starts before
+    // execution (--live) or after it.
+    const auto start_server = [&](const rt::RtReport* done) {
+      obs::RunSummary run;
+      run.trace_id = obs::trace_id();
+      run.program = program.show();
+      run.optimized = result.program.show();
+      run.started_at = obs::utc_timestamp();
+      run.state = "live";
+      run.rewrites = static_cast<int>(result.log.size());
+      run.model_cost_before = model::program_time(program, machine);
+      run.model_cost_after = model::program_time(result.program, machine);
+      server.emplace(hub);
+      server->add_run(run);
+      if (done != nullptr) server->finish_run(run.trace_id, done->wall_ms);
+      server->set_run_store(store_root);
+      if (live_sampler) server->set_live(&*live_sampler);
+      std::string err;
+      if (!server->start(serve_port, &err)) throw Error(err);
+      server->install_signal_stop();
+      std::cout << "serving on http://127.0.0.1:" << server->port()
+                << (live_sampler ? " (live; GET /metrics /metrics.json /runs "
+                                   "/live /live.json /healthz; Ctrl-C to "
+                                   "stop)\n"
+                                 : " (GET /metrics /metrics.json /runs "
+                                   "/runs/<trace_id> /healthz; Ctrl-C to "
+                                   "stop)\n")
+                << std::flush;
+    };
 
     std::optional<rt::RtReport> rt_rep;
-    if (rt_report || serve_port >= 0) {
+    if (rep.on[kRt] || serve_port >= 0) {
       // Run the optimized program for real on the thread executor and merge
       // the flight-recorder capture with the cost calculus' predictions.
       // Input: p blocks of small integers — safe for every arithmetic op in
@@ -804,44 +956,19 @@ int main(int argc, char** argv) {
       }
 
       if (live) {
-        // Live mode flips the ordering: start the sampler and the server
-        // *before* execution so scrapes and /live streams observe the run
-        // in flight.
+        // Live mode starts the sampler and the server *before* execution
+        // so scrapes and /live streams observe the run in flight.
         rt::LiveRunInfo info;
         info.trace_id = obs::trace_id();
         info.program = result.program.show();
         for (const auto& stage : result.program.stages())
           info.stage_labels.push_back(stage->show());
-        info.ranks = static_cast<int>(machine.p);
+        info.ranks = machine.p;
         info.repeats = warmup + repeat;
         live_sampler.emplace(hub);
         live_sampler->begin_run(std::move(info));
         live_sampler->start();
-
-        obs::RunSummary run_summary;
-        run_summary.trace_id = obs::trace_id();
-        run_summary.program = program.show();
-        run_summary.optimized = result.program.show();
-        run_summary.started_at = obs::utc_timestamp();
-        run_summary.state = "live";
-        run_summary.rewrites = static_cast<int>(result.log.size());
-        run_summary.model_cost_before = model::program_time(program, machine);
-        run_summary.model_cost_after =
-            model::program_time(result.program, machine);
-        server.emplace(hub);
-        server->add_run(run_summary);
-        server->set_run_store(store_root);
-        server->set_live(&*live_sampler);
-        std::string err;
-        if (!server->start(serve_port, &err)) {
-          std::cerr << "error: " << err << "\n";
-          return 1;
-        }
-        server->install_signal_stop();
-        std::cout << "serving on http://127.0.0.1:" << server->port()
-                  << " (live; GET /metrics /metrics.json /runs /live "
-                     "/live.json /healthz; Ctrl-C to stop)\n"
-                  << std::flush;
+        start_server(nullptr);
       }
 
       std::vector<double> samples_ms;
@@ -865,27 +992,14 @@ int main(int argc, char** argv) {
       ropts.timing = rt::RepeatStats::of(samples_ms, warmup);
       rt_rep = rt::build_report(run->rt, ropts);
       if (server) server->finish_run(obs::trace_id(), rt_rep->wall_ms);
-      const auto& rep = *rt_rep;
-
-      if (rt_report) std::cout << "\n" << rep.render_text();
+      rep.show(kRt,
+               {"\n" + rt_rep->render_text(),
+                {[&](std::ostream& os) { rt_rep->write_json(os); },
+                 [&](std::ostream& os) { rt_rep->write_chrome_trace(os); },
+                 [&](std::ostream& os) { rt_rep->write_html(os); }}});
       if (!run->rt.enabled)
         std::cout << "(runtime telemetry disabled: COLOP_RT=0 or compiled "
                      "out; per-rank and per-stage sections are empty)\n";
-      if (!rt_json.empty()) {
-        auto f = open_output(rt_json);
-        rep.write_json(f);
-        std::cout << "runtime report written to " << rt_json << "\n";
-      }
-      if (!rt_trace.empty()) {
-        auto f = open_output(rt_trace);
-        rep.write_chrome_trace(f);
-        std::cout << "runtime trace written to " << rt_trace << "\n";
-      }
-      if (!rt_html.empty()) {
-        auto f = open_output(rt_html);
-        rep.write_html(f);
-        std::cout << "runtime HTML report written to " << rt_html << "\n";
-      }
     }
 
     // Every subsystem that ran publishes its snapshot into the hub by name.
@@ -921,42 +1035,17 @@ int main(int argc, char** argv) {
       if (rt_rep) rt::publish_registry(*rt_rep, hub);
     }
 
-    if (!metrics_file.empty()) {
-      const auto ends_with = [&](const std::string& suffix) {
-        return metrics_file.size() >= suffix.size() &&
-               metrics_file.compare(metrics_file.size() - suffix.size(),
-                                    suffix.size(), suffix) == 0;
-      };
-      auto f = open_output(metrics_file);
-      if (ends_with(".csv")) {
-        // Legacy scalar document, kept for spreadsheet-style consumers.
-        obs::MetricsRegistry reg;
-        reg.set_info("trace_id", obs::trace_id());
-        reg.set("p", machine.p);
-        reg.set("m", machine.m);
-        reg.set("ts", machine.ts);
-        reg.set("tw", machine.tw);
-        reg.set("model_time_before", model::program_time(program, machine));
-        reg.set("model_time_after",
-                model::program_time(result.program, machine));
-        reg.set("sim_time_before", before.time);
-        reg.set("sim_time_after", after.time);
-        reg.set("messages_before", static_cast<double>(before.messages));
-        reg.set("messages_after", static_cast<double>(after.messages));
-        reg.set("words_before", before.words);
-        reg.set("words_after", after.words);
-        reg.set("rewrites_applied", static_cast<double>(result.log.size()));
-        if (after.time > 0) reg.set("speedup", before.time / after.time);
-        if (rt_rep) rt::publish_metrics(*rt_rep, reg);
-        reg.write_csv(f);
-      } else if (ends_with(".prom")) {
-        hub.write_prometheus(f);
+    const bool prom = metrics_file.size() >= 5 &&
+                      metrics_file.compare(metrics_file.size() - 5, 5,
+                                           ".prom") == 0;
+    emit(metrics_file, "metrics", [&](std::ostream& os) {
+      if (prom) {
+        hub.write_prometheus(os);
       } else {
-        hub.write_json(f);
-        f << "\n";
+        hub.write_json(os);
+        os << "\n";
       }
-      std::cout << "metrics written to " << metrics_file << "\n";
-    }
+    });
 
     if (record) {
       obs::RunBundle bundle;
@@ -971,171 +1060,46 @@ int main(int argc, char** argv) {
       if (const char* dp = std::getenv("COLOP_DATA_PLANE"))
         bundle.data_plane = dp;
       for (int a = 1; a < argc; ++a) bundle.args.emplace_back(argv[a]);
-
-      const auto kind_name = [](ir::Stage::Kind k) -> std::string {
-        switch (k) {
-          case ir::Stage::Kind::Map: return "map";
-          case ir::Stage::Kind::MapIndexed: return "map#";
-          case ir::Stage::Kind::Scan: return "scan";
-          case ir::Stage::Kind::Reduce: return "reduce";
-          case ir::Stage::Kind::AllReduce: return "allreduce";
-          case ir::Stage::Kind::Bcast: return "bcast";
-          case ir::Stage::Kind::ScanBalanced: return "scan_balanced";
-          case ir::Stage::Kind::ReduceBalanced: return "reduce_balanced";
-          case ir::Stage::Kind::AllReduceBalanced:
-            return "allreduce_balanced";
-          case ir::Stage::Kind::Iter: return "iter";
-          case ir::Stage::Kind::IStartReduce: return "istart_reduce";
-          case ir::Stage::Kind::IStartAllReduce: return "istart_allreduce";
-          case ir::Stage::Kind::IStartBcast: return "istart_bcast";
-          case ir::Stage::Kind::Wait: return "wait";
-        }
-        return "?";
-      };
-      const auto stage_records =
-          [&](const ir::Program& prog,
-              const std::vector<std::string>* provenance) {
-            std::vector<obs::StageRecord> out;
-            int idx = 0;
-            for (const auto& stage : prog.stages()) {
-              obs::StageRecord rec;
-              rec.index = idx;
-              rec.label = stage->show();
-              rec.kind = kind_name(stage->kind());
-              rec.local = stage->is_local();
-              if (provenance != nullptr &&
-                  static_cast<std::size_t>(idx) < provenance->size())
-                rec.rule = (*provenance)[static_cast<std::size_t>(idx)];
-              rec.model_time = model::stage_cost(*stage).eval(machine);
-              out.push_back(std::move(rec));
-              ++idx;
-            }
-            return out;
-          };
       bundle.program_before = program.show();
       bundle.program_after = result.program.show();
-      const auto provenance = rules::stage_provenance(program.size(), result.log);
-      bundle.stages_before = stage_records(program, nullptr);
-      bundle.stages_after = stage_records(result.program, &provenance);
-      for (const auto& step : result.log) {
-        obs::RuleRecord rec;
-        rec.rule = step.rule;
-        rec.position = step.position;
-        rec.count = step.count;
-        rec.replaced_by = step.replaced_by;
-        rec.note = step.note;
-        rec.cost_before = step.cost_before;
-        rec.cost_after = step.cost_after;
-        rec.program_after = step.program_after;
-        bundle.rules.push_back(std::move(rec));
-      }
+      bundle.stages_before = stage_records(program, machine, {});
+      bundle.stages_after = stage_records(result.program, machine, provenance);
+      for (const auto& step : result.log)
+        bundle.rules.push_back({step.rule, step.position, step.count,
+                                step.replaced_by, step.note, step.cost_before,
+                                step.cost_after, step.program_after});
       bundle.model_cost_before = model::program_time(program, machine);
       bundle.model_cost_after = model::program_time(result.program, machine);
       bundle.sim_before = {before.time, before.messages, before.words};
       bundle.sim_after = {after.time, after.messages, after.words};
       if (rt_rep) bundle.wall_ms = rt_rep->wall_ms;
-      if (search_res) {
-        obs::SearchRecord s;
-        s.strategy = rules::strategy_name(search_res->strategy);
-        s.beam_width = search_res->beam_width;
-        s.nodes_expanded = search_res->stats.nodes_expanded;
-        s.nodes_generated = search_res->stats.nodes_generated;
-        s.pruned_bound = search_res->stats.pruned_by_bound;
-        s.pruned_beam = search_res->stats.pruned_by_beam;
-        s.pruned_budget = search_res->stats.pruned_by_budget;
-        s.memo_hits = search_res->stats.memo_hits;
-        s.memo_entries = search_res->stats.memo_entries;
-        s.frontier_peak = search_res->stats.frontier_peak;
-        s.depth = search_res->stats.depth_reached;
-        s.greedy_cost = search_res->greedy_cost;
-        s.winner_cost = search_res->best.cost_final;
-        s.winner_certified =
-            search_res->winner_index < search_res->ranked.size() &&
-            search_res->ranked[search_res->winner_index].certified == 1;
-        for (const auto& r : search_res->ranked)
-          s.ranked.push_back({r.cost, r.path_text(), r.certified});
-        bundle.search = std::move(s);
-      }
+      if (search_res) bundle.search = search_record(*search_res);
 
-      // Artifacts: everything this run computed, plus the explain log,
-      // profile and hub snapshot --record implies.
-      if (!searching) {
+      // Artifacts: each archived report's JSON, plus the hub snapshot.
+      for (int r = 0; r < kReportCount; ++r) {
+        const auto& out = rep.done[r];
+        if (!out || !out->archive || kReports[r].artifact == nullptr) continue;
         std::ostringstream ss;
-        explain_log.write_json(ss);
-        bundle.artifacts["explain"] = ss.str();
+        out->files[0](ss);
+        bundle.artifacts[kReports[r].artifact] = ss.str();
       }
-      if (search_res) {
-        std::ostringstream ss;
-        search_res->write_json(ss);
-        bundle.artifacts["search"] = ss.str();
-      }
-      {
-        obs::ProfileOptions popts;
-        popts.provenance = provenance;
-        const auto prof = obs::profile_program(result.program, machine, popts);
-        std::ostringstream ss;
-        prof.write_json(ss);
-        bundle.artifacts["profile"] = ss.str();
-      }
-      {
-        std::ostringstream ss;
-        hub.write_json(ss);
-        bundle.artifacts["metrics"] = ss.str();
-      }
-      if (!drift_artifact.empty()) bundle.artifacts["drift"] = drift_artifact;
-      if (vres) {
-        std::ostringstream ss;
-        vres->write_json(ss, lint);
-        ss << "\n";
-        bundle.artifacts["verify"] = ss.str();
-      }
-      if (rt_rep) {
-        std::ostringstream ss;
-        rt_rep->write_json(ss);
-        bundle.artifacts["rt"] = ss.str();
-      }
+      std::ostringstream ss;
+      hub.write_json(ss);
+      bundle.artifacts["metrics"] = ss.str();
 
       const obs::RunStore store(store_root);
-      const std::string dir = store.save(bundle);
-      std::cout << "run recorded to " << dir << "\n";
+      std::cout << "run recorded to " << store.save(bundle) << "\n";
       std::string retention_warning;
       const auto policy = obs::RetentionPolicy::from_env(&retention_warning);
       if (!retention_warning.empty())
         std::cerr << "warning: " << retention_warning << "\n";
-      if (!policy.unlimited()) {
-        const auto evicted = store.prune(policy);
-        for (const auto& id : evicted)
+      if (!policy.unlimited())
+        for (const auto& id : store.prune(policy))
           std::cout << "retention: evicted run " << id << "\n";
-      }
     }
 
     if (serve_port >= 0) {
-      if (!server) {
-        obs::RunSummary run_summary;
-        run_summary.trace_id = obs::trace_id();
-        run_summary.program = program.show();
-        run_summary.optimized = result.program.show();
-        run_summary.started_at = obs::utc_timestamp();
-        run_summary.rewrites = static_cast<int>(result.log.size());
-        run_summary.model_cost_before = model::program_time(program, machine);
-        run_summary.model_cost_after =
-            model::program_time(result.program, machine);
-        if (rt_rep) run_summary.wall_ms = rt_rep->wall_ms;
-
-        server.emplace(hub);
-        server->add_run(run_summary);
-        server->set_run_store(store_root);
-        std::string err;
-        if (!server->start(serve_port, &err)) {
-          std::cerr << "error: " << err << "\n";
-          return 1;
-        }
-        server->install_signal_stop();
-        std::cout << "serving on http://127.0.0.1:" << server->port()
-                  << " (GET /metrics /metrics.json /runs /runs/<trace_id> "
-                     "/healthz; Ctrl-C to stop)\n"
-                  << std::flush;
-      }
+      if (!server) start_server(&*rt_rep);
       server->wait();
     }
     return 0;
