@@ -22,9 +22,9 @@ int main() {
           {"p", "T butterfly (s)", "T binomial (s)", "msgs bfly", "msgs binom"});
   for (int p : {4, 8, 16, 32, 64, 6, 12, 24, 48, 63}) {
     simnet::SimMachine bf(p, net);
-    simnet::bcast_butterfly(bf, kBlock, 1);
+    simnet::price(bf, mpsim::Algo::bcast_butterfly, kBlock, 1);
     simnet::SimMachine bn(p, net);
-    simnet::bcast_binomial(bn, kBlock, 1);
+    simnet::price(bn, mpsim::Algo::bcast_binomial, kBlock, 1);
     t.add(p, seconds(bf.makespan()), seconds(bn.makespan()), bf.messages(),
           bn.messages());
   }
@@ -36,9 +36,9 @@ int main() {
   bool ok = true;
   for (int p : {4, 8, 16, 32, 64, 6, 12, 24, 48}) {
     simnet::SimMachine bf(p, net);
-    simnet::allreduce_butterfly(bf, kBlock, 1, 1);
+    simnet::price(bf, mpsim::Algo::allreduce_butterfly, kBlock, 1, 1);
     simnet::SimMachine bn(p, net);
-    simnet::reduce_binomial(bn, kBlock, 1, 1);
+    simnet::price(bn, mpsim::Algo::reduce_binomial, kBlock, 1, 1);
     ok &= bf.messages() > bn.messages();  // all-to-all result costs traffic
     t2.add(p, seconds(bf.makespan()), seconds(bn.makespan()), bf.messages(),
            bn.messages());

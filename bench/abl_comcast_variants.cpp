@@ -28,13 +28,15 @@ int main() {
           const simnet::NetParams net{ts, tw};
 
           simnet::SimMachine naive(p, net);
-          simnet::comcast_naive(naive, m, 1, 2);
+          simnet::price(naive, mpsim::Algo::comcast_naive, m, 1, 2,
+                        {.bcast = mpsim::Algo::bcast_butterfly});
 
           simnet::SimMachine opt(p, net);
-          simnet::comcast_costopt(opt, m, 2, 2, 0);
+          simnet::price(opt, mpsim::Algo::comcast_costopt, m, 2, 2, {}, 0);
 
           simnet::SimMachine rep(p, net);
-          simnet::comcast_repeat(rep, m, 1, 2);
+          simnet::price(rep, mpsim::Algo::comcast_repeat, m, 1, 2,
+                        {.bcast = mpsim::Algo::bcast_butterfly});
 
           const double tn = seconds(naive.makespan());
           const double to = seconds(opt.makespan());

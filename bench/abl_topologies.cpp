@@ -24,12 +24,13 @@ double run_variant(const std::string& variant, int p, double m,
                    simnet::NetParams net) {
   simnet::SimMachine mach(p, net);
   if (variant == "bcast;scan") {
-    simnet::bcast_butterfly(mach, m, 1);
-    simnet::scan_butterfly(mach, m, 1, 1);
+    simnet::price(mach, mpsim::Algo::bcast_butterfly, m, 1);
+    simnet::price(mach, mpsim::Algo::scan_butterfly, m, 1, 1);
   } else if (variant == "costopt") {
-    simnet::comcast_costopt(mach, m, 2, 2, 0);
+    simnet::price(mach, mpsim::Algo::comcast_costopt, m, 2, 2, {}, 0);
   } else {
-    simnet::comcast_repeat(mach, m, 1, 2);
+    simnet::price(mach, mpsim::Algo::comcast_repeat, m, 1, 2,
+                  {.bcast = mpsim::Algo::bcast_butterfly});
   }
   return seconds(mach.makespan());
 }

@@ -24,9 +24,9 @@ int main() {
   bool crossover_seen = false, small_butterfly_wins = false;
   for (double m : {1.0, 64.0, 512.0, 4096.0, 32000.0}) {
     simnet::SimMachine bf(kProcs, net), bn(kProcs, net), vg(kProcs, net);
-    simnet::bcast_butterfly(bf, m, 1);
-    simnet::bcast_binomial(bn, m, 1);
-    simnet::bcast_vdg(vg, m, 1);
+    simnet::price(bf, mpsim::Algo::bcast_butterfly, m, 1);
+    simnet::price(bn, mpsim::Algo::bcast_binomial, m, 1);
+    simnet::price(vg, mpsim::Algo::bcast_vdg, m, 1);
     const double tb = seconds(bf.makespan());
     const double tn = seconds(bn.makespan());
     const double tv = seconds(vg.makespan());
@@ -42,8 +42,8 @@ int main() {
            {"m", "butterfly", "van de Geijn", "winner"});
   for (double m : {1.0, 64.0, 512.0, 4096.0, 32000.0}) {
     simnet::SimMachine bf(kProcs, net), vg(kProcs, net);
-    simnet::allreduce_butterfly(bf, m, 1, 1);
-    simnet::allreduce_vdg(vg, m, 1, 1);
+    simnet::price(bf, mpsim::Algo::allreduce_butterfly, m, 1, 1);
+    simnet::price(vg, mpsim::Algo::allreduce_vdg, m, 1, 1);
     const double tb = seconds(bf.makespan());
     const double tv = seconds(vg.makespan());
     t2.add(m, tb, tv, tv < tb ? "vdg" : "butterfly");
@@ -58,9 +58,9 @@ int main() {
   bool rule_still_wins = true;
   for (double m : {64.0, 4096.0, 32000.0}) {
     simnet::SimMachine lhs(kProcs, net), rhs(kProcs, net);
-    simnet::bcast_vdg(lhs, m, 1);
-    simnet::scan_butterfly(lhs, m, 1, 1);
-    simnet::bcast_vdg(rhs, m, 1);
+    simnet::price(lhs, mpsim::Algo::bcast_vdg, m, 1);
+    simnet::price(lhs, mpsim::Algo::scan_butterfly, m, 1, 1);
+    simnet::price(rhs, mpsim::Algo::bcast_vdg, m, 1);
     for (int r = 0; r < kProcs; ++r)
       rhs.compute(r, 2 * m * colop::binary_digits(static_cast<std::uint64_t>(r)));
     const double tl = seconds(lhs.makespan());

@@ -30,15 +30,16 @@ int main() {
   bool shape_ok = true;
   for (int p = 2; p <= 64; p *= 2) {
     simnet::SimMachine lhs(p, net);
-    simnet::bcast_butterfly(lhs, kBlock, 1);
-    simnet::scan_butterfly(lhs, kBlock, 1, 1);
+    simnet::price(lhs, mpsim::Algo::bcast_butterfly, kBlock, 1);
+    simnet::price(lhs, mpsim::Algo::scan_butterfly, kBlock, 1, 1);
 
     simnet::SimMachine opt(p, net);
     // Shared uu between o and e: 2 ops to advance, nothing extra to keep.
-    simnet::comcast_costopt(opt, kBlock, 2, 2, 0);
+    simnet::price(opt, mpsim::Algo::comcast_costopt, kBlock, 2, 2, {}, 0);
 
     simnet::SimMachine rep(p, net);
-    simnet::comcast_repeat(rep, kBlock, 1, 2);
+    simnet::price(rep, mpsim::Algo::comcast_repeat, kBlock, 1, 2,
+                  {.bcast = mpsim::Algo::bcast_butterfly});
 
     const double t_lhs = seconds(lhs.makespan());
     const double t_opt = seconds(opt.makespan());

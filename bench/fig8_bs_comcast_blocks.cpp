@@ -29,14 +29,15 @@ int main() {
   for (double m : {0.0, 2000.0, 4000.0, 8000.0, 12000.0, 16000.0, 20000.0,
                    24000.0, 28000.0, 32000.0}) {
     simnet::SimMachine lhs(kProcs, net);
-    simnet::bcast_butterfly(lhs, m, 1);
-    simnet::scan_butterfly(lhs, m, 1, 1);
+    simnet::price(lhs, mpsim::Algo::bcast_butterfly, m, 1);
+    simnet::price(lhs, mpsim::Algo::scan_butterfly, m, 1, 1);
 
     simnet::SimMachine opt(kProcs, net);
-    simnet::comcast_costopt(opt, m, 2, 2, 0);
+    simnet::price(opt, mpsim::Algo::comcast_costopt, m, 2, 2, {}, 0);
 
     simnet::SimMachine rep(kProcs, net);
-    simnet::comcast_repeat(rep, m, 1, 2);
+    simnet::price(rep, mpsim::Algo::comcast_repeat, m, 1, 2,
+                  {.bcast = mpsim::Algo::bcast_butterfly});
 
     const double t_lhs = seconds(lhs.makespan());
     const double t_opt = seconds(opt.makespan());

@@ -13,23 +13,26 @@
 
 #include "colop/ir/program.h"
 #include "colop/model/machine.h"
+#include "colop/mpsim/schedule.h"
 #include "colop/simnet/machine.h"
 
 namespace colop::exec {
 
-/// Which concrete schedules implement the collectives (the paper notes the
+/// Which concrete algorithms implement the collectives (the paper notes the
 /// cost calculus is implementation-relative, Section 4.1).
 struct SimSchedules {
-  enum class Bcast { butterfly, binomial, vdg, pipelined };
-  enum class Reduce { butterfly, binomial, vdg };
-  Bcast bcast = Bcast::butterfly;
-  Reduce reduce = Reduce::butterfly;  ///< vdg applies to allreduce stages
+  /// bcast_butterfly, bcast_binomial, bcast_vdg or bcast_pipelined.
+  mpsim::Algo bcast = mpsim::Algo::bcast_butterfly;
+  /// Reduce stages: allreduce_butterfly, reduce_binomial or allreduce_vdg.
+  /// Allreduce stages run allreduce_vdg under allreduce_vdg, else
+  /// allreduce_butterfly.
+  mpsim::Algo reduce = mpsim::Algo::allreduce_butterfly;
 };
 
 /// Simulate every broadcast schedule on `mach` and return the fastest one
 /// with its predicted time — a small autotuner in the spirit of the
 /// paper's "the cost estimation must be repeated" (Section 4.1).
-[[nodiscard]] std::pair<SimSchedules::Bcast, double> best_bcast_schedule(
+[[nodiscard]] std::pair<mpsim::Algo, double> best_bcast_schedule(
     const model::Machine& mach);
 
 struct SimRunResult {

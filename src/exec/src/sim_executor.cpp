@@ -8,6 +8,44 @@ namespace colop::exec {
 namespace {
 
 using Kind = ir::Stage::Kind;
+using mpsim::Algo;
+
+// Reduce stages (blocking or split-phase) price sched.reduce toward their
+// root; allreduce stages run vdg under vdg and the butterfly otherwise.
+template <typename S>
+void price_reduce(const S& s, simnet::SimMachine& mach, double m,
+                  SimSchedules sched) {
+  if constexpr (requires { s.root; })
+    simnet::price(mach, sched.reduce, m, s.words, s.op->ops_cost(),
+                  {.root = s.root});
+  else
+    simnet::price(mach,
+                  sched.reduce == Algo::allreduce_vdg ? Algo::allreduce_vdg
+                                                      : Algo::allreduce_butterfly,
+                  m, s.words, s.op->ops_cost());
+}
+
+template <typename S>
+void price_bcast(const S& s, simnet::SimMachine& mach, double m,
+                 SimSchedules sched) {
+  const int segments =
+      sched.bcast == Algo::bcast_pipelined
+          ? simnet::optimal_segments(mach.size(), m * s.words, mach.net().ts,
+                                     mach.net().tw)
+          : 1;
+  simnet::price(mach, sched.bcast, m, s.words, 0,
+                {.root = s.root, .segments = segments});
+}
+
+// Per-rank op count of a map or map# stage (an overlap window's interior).
+double local_ops(const ir::Stage& stage, int rank) {
+  if (stage.kind() == Kind::Map)
+    return static_cast<const ir::MapStage&>(stage).fn.ops_cost;
+  const auto& s = static_cast<const ir::MapIndexedStage&>(stage);
+  const double levels =
+      static_cast<double>(binary_digits(static_cast<std::uint64_t>(rank)));
+  return s.fn.ops_cost + s.fn.ops_per_logp * levels;
+}
 
 // Simulate one stage's schedule on the virtual clocks.  Split-phase stages
 // run their blocking twin here; run_on_simnet's window loop then discounts
@@ -21,98 +59,52 @@ void sim_stage(const ir::Stage& stage, simnet::SimMachine& mach, double m,
       simnet::local_map(mach, m, s.fn.ops_cost);
       break;
     }
-    case Kind::MapIndexed: {
-      const auto& s = static_cast<const ir::MapIndexedStage&>(stage);
-      for (int r = 0; r < p; ++r) {
-        const double levels =
-            static_cast<double>(binary_digits(static_cast<std::uint64_t>(r)));
-        const double ops = s.fn.ops_cost + s.fn.ops_per_logp * levels;
-        if (ops > 0) mach.compute(r, m * ops);
-      }
+    case Kind::MapIndexed:
+      for (int r = 0; r < p; ++r)
+        if (const double ops = local_ops(stage, r); ops > 0)
+          mach.compute(r, m * ops);
       break;
-    }
     case Kind::Scan: {
       const auto& s = static_cast<const ir::ScanStage&>(stage);
-      simnet::scan_butterfly(mach, m, s.words, s.op->ops_cost());
+      simnet::price(mach, Algo::scan_butterfly, m, s.words, s.op->ops_cost());
       break;
     }
     case Kind::Reduce:
-    case Kind::IStartReduce: {
-      const int words = stage.kind() == Kind::Reduce
-                            ? static_cast<const ir::ReduceStage&>(stage).words
-                            : static_cast<const ir::IStartReduceStage&>(stage).words;
-      const double ops =
-          stage.kind() == Kind::Reduce
-              ? static_cast<const ir::ReduceStage&>(stage).op->ops_cost()
-              : static_cast<const ir::IStartReduceStage&>(stage).op->ops_cost();
-      const int root =
-          stage.kind() == Kind::Reduce
-              ? static_cast<const ir::ReduceStage&>(stage).root
-              : static_cast<const ir::IStartReduceStage&>(stage).root;
-      if (sched.reduce == SimSchedules::Reduce::binomial)
-        simnet::reduce_binomial(mach, m, words, ops, root);
-      else if (sched.reduce == SimSchedules::Reduce::vdg)
-        simnet::allreduce_vdg(mach, m, words, ops);
-      else
-        simnet::allreduce_butterfly(mach, m, words, ops);
+      price_reduce(static_cast<const ir::ReduceStage&>(stage), mach, m, sched);
       break;
-    }
+    case Kind::IStartReduce:
+      price_reduce(static_cast<const ir::IStartReduceStage&>(stage), mach, m,
+                   sched);
+      break;
     case Kind::AllReduce:
-    case Kind::IStartAllReduce: {
-      const int words =
-          stage.kind() == Kind::AllReduce
-              ? static_cast<const ir::AllReduceStage&>(stage).words
-              : static_cast<const ir::IStartAllReduceStage&>(stage).words;
-      const double ops =
-          stage.kind() == Kind::AllReduce
-              ? static_cast<const ir::AllReduceStage&>(stage).op->ops_cost()
-              : static_cast<const ir::IStartAllReduceStage&>(stage).op->ops_cost();
-      if (sched.reduce == SimSchedules::Reduce::vdg)
-        simnet::allreduce_vdg(mach, m, words, ops);
-      else
-        simnet::allreduce_butterfly(mach, m, words, ops);
+      price_reduce(static_cast<const ir::AllReduceStage&>(stage), mach, m,
+                   sched);
       break;
-    }
+    case Kind::IStartAllReduce:
+      price_reduce(static_cast<const ir::IStartAllReduceStage&>(stage), mach, m,
+                   sched);
+      break;
     case Kind::Bcast:
-    case Kind::IStartBcast: {
-      const int words = stage.kind() == Kind::Bcast
-                            ? static_cast<const ir::BcastStage&>(stage).words
-                            : static_cast<const ir::IStartBcastStage&>(stage).words;
-      const int root = stage.kind() == Kind::Bcast
-                           ? static_cast<const ir::BcastStage&>(stage).root
-                           : static_cast<const ir::IStartBcastStage&>(stage).root;
-      switch (sched.bcast) {
-        case SimSchedules::Bcast::butterfly:
-          simnet::bcast_butterfly(mach, m, words, root);
-          break;
-        case SimSchedules::Bcast::binomial:
-          simnet::bcast_binomial(mach, m, words, root);
-          break;
-        case SimSchedules::Bcast::vdg:
-          simnet::bcast_vdg(mach, m, words);
-          break;
-        case SimSchedules::Bcast::pipelined:
-          simnet::bcast_pipelined(
-              mach, m, words,
-              simnet::optimal_segments(p, m * words, mach.net().ts,
-                                       mach.net().tw));
-          break;
-      }
+      price_bcast(static_cast<const ir::BcastStage&>(stage), mach, m, sched);
       break;
-    }
+    case Kind::IStartBcast:
+      price_bcast(static_cast<const ir::IStartBcastStage&>(stage), mach, m,
+                  sched);
+      break;
     case Kind::ScanBalanced: {
       const auto& s = static_cast<const ir::ScanBalancedStage&>(stage);
-      simnet::scan_balanced(mach, m, s.op2.words, s.op2.ops_cost);
+      simnet::price(mach, Algo::scan_balanced, m, s.op2.words, s.op2.ops_cost);
       break;
     }
     case Kind::ReduceBalanced: {
       const auto& s = static_cast<const ir::ReduceBalancedStage&>(stage);
-      simnet::reduce_balanced(mach, m, s.op.words, s.op.ops_cost, s.root);
+      simnet::price(mach, Algo::reduce_balanced, m, s.op.words, s.op.ops_cost,
+                    {.root = s.root});
       break;
     }
     case Kind::AllReduceBalanced: {
       const auto& s = static_cast<const ir::AllReduceBalancedStage&>(stage);
-      simnet::allreduce_balanced(mach, m, s.op.words, s.op.ops_cost);
+      simnet::price(mach, Algo::allreduce_balanced, m, s.op.words, s.op.ops_cost);
       break;
     }
     case Kind::Iter: {
@@ -131,16 +123,6 @@ void sim_stage(const ir::Stage& stage, simnet::SimMachine& mach, double m,
     case Kind::Wait:
       break;  // completion: no traffic, no compute of its own
   }
-}
-
-// Per-rank op count of one interior (elementwise-local) window stage.
-double local_ops(const ir::Stage& stage, int rank) {
-  if (stage.kind() == Kind::Map)
-    return static_cast<const ir::MapStage&>(stage).fn.ops_cost;
-  const auto& s = static_cast<const ir::MapIndexedStage&>(stage);
-  const double levels =
-      static_cast<double>(binary_digits(static_cast<std::uint64_t>(rank)));
-  return s.fn.ops_cost + s.fn.ops_per_logp * levels;
 }
 
 }  // namespace
@@ -196,14 +178,13 @@ void run_on_simnet(const ir::Program& prog, simnet::SimMachine& mach, double m,
   }
 }
 
-std::pair<SimSchedules::Bcast, double> best_bcast_schedule(
-    const model::Machine& mach) {
+std::pair<Algo, double> best_bcast_schedule(const model::Machine& mach) {
   ir::Program prog;
   prog.bcast();
-  SimSchedules::Bcast best = SimSchedules::Bcast::butterfly;
+  Algo best = Algo::bcast_butterfly;
   double best_time = run_on_simnet(prog, mach, {.bcast = best}).time;
-  for (auto cand : {SimSchedules::Bcast::binomial, SimSchedules::Bcast::vdg,
-                    SimSchedules::Bcast::pipelined}) {
+  for (auto cand :
+       {Algo::bcast_binomial, Algo::bcast_vdg, Algo::bcast_pipelined}) {
     const double t = run_on_simnet(prog, mach, {.bcast = cand}).time;
     if (t < best_time) {
       best = cand;

@@ -1,7 +1,8 @@
 #include "colop/ir/parse.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <system_error>
 
 #include "colop/support/error.h"
 
@@ -73,11 +74,17 @@ class Parser {
 
   int integer() {
     skip_ws();
-    std::size_t start = pos_;
+    const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
     while (!eof() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    if (start == pos_) fail("expected integer");
-    return std::atoi(text_.substr(start, pos_ - start).c_str());
+    int value = 0;
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (ec == std::errc::result_out_of_range)
+      fail("integer out of range: " + text_.substr(start, pos_ - start));
+    if (ec != std::errc{} || end != last) fail("expected integer");
+    return value;
   }
 
   int optional_root() {

@@ -18,10 +18,13 @@
 //       rank has no partner in a phase (partner id >= p): the paper keeps
 //       the first tuple component and marks the rest undefined.
 
+#include <algorithm>
+#include <cstddef>
+#include <type_traits>
 #include <utility>
 
-#include "colop/mpsim/balanced_tree.h"
 #include "colop/mpsim/collectives/bcast.h"
+#include "colop/mpsim/collectives/reduce.h"
 #include "colop/mpsim/comm.h"
 #include "colop/support/bits.h"
 
@@ -32,36 +35,9 @@ namespace colop::mpsim {
 template <typename T, typename Op, typename UnitOp>
 [[nodiscard]] T reduce_balanced(const Comm& comm, T value, Op op,
                                 UnitOp unit_op, int root = 0) {
-  const int p = comm.size();
-  const int r = comm.rank();
-  COLOP_REQUIRE(root >= 0 && root < p, "reduce_balanced: invalid root");
-  const int tag = comm.next_collective_tag();
-
-  const BalancedTree tree = BalancedTree::build(p);
-  T original = value;
-  T acc = std::move(value);
-
-  // Process internal nodes bottom-up; height levels are combining phases.
-  for (const int ni : tree.internal_by_height()) {
-    const BalancedNode& node = tree.node(ni);
-    if (node.is_unit()) {
-      if (r == node.owner()) acc = unit_op(std::move(acc));
-      continue;
-    }
-    const int right_owner = tree.node(node.right).owner();
-    if (r == right_owner) {
-      // After sending, this rank takes no further part (it is never the
-      // owner or right-child owner of any ancestor) and returns `original`.
-      comm.send_raw(node.owner(), std::move(acc), tag);
-    } else if (r == node.owner()) {
-      acc = op(std::move(acc), comm.recv_raw<T>(right_owner, tag));
-    }
-  }
-
-  if (root == 0) return r == 0 ? std::move(acc) : std::move(original);
-  if (r == 0) comm.send_raw(root, std::move(acc), tag);
-  if (r == root) return comm.recv_raw<T>(0, tag);
-  return original;
+  const Schedule& s =
+      shared_schedule(Algo::reduce_balanced, comm.size(), {.root = root});
+  return detail::run_reduce(comm, s, std::move(value), op, unit_op, root);
 }
 
 /// Balanced all-reduction ("the tree can be extended to a butterfly").
@@ -70,21 +46,19 @@ template <typename T, typename Op, typename UnitOp>
                                    UnitOp unit_op) {
   const int p = comm.size();
   if (p == 1) return value;
-  if (is_pow2(static_cast<std::uint64_t>(p))) {
-    // Complete tree: the butterfly computes the identical combination on
-    // every rank (both partners combine (lower, upper) in block order).
-    const int r = comm.rank();
-    const int tag = comm.next_collective_tag();
-    for (int k = 0; (1 << k) < p; ++k) {
-      const int partner = r ^ (1 << k);
-      T other = comm.sendrecv_tagged(partner, value, tag);
-      value = partner > r ? op(std::move(value), std::move(other))
-                          : op(std::move(other), std::move(value));
-    }
-    return value;
+  if (!is_pow2(static_cast<std::uint64_t>(p))) {
+    value = reduce_balanced(comm, std::move(value), op, unit_op);
+    return bcast(comm, std::move(value));
   }
-  value = reduce_balanced(comm, std::move(value), op, unit_op);
-  return bcast(comm, std::move(value));
+  // Complete tree: the butterfly computes the identical combination on
+  // every rank (both partners combine (lower, upper) in block order).
+  const int tag = comm.next_collective_tag();
+  walk(shared_schedule(Algo::allreduce_balanced, p), comm.rank(),
+       [&](const Step& st) { comm.send_raw(st.dst, value, tag); },
+       [&](const Step& st) {
+         value = land(st, std::move(value), comm.recv_raw<T>(st.src, tag), op);
+       });
+  return value;
 }
 
 /// Balanced butterfly scan (Fig. 5).  Returns each rank's final value; the
@@ -102,25 +76,24 @@ template <typename T, typename Op2, typename Degrade,
   const int r = comm.rank();
   if (p == 1) return value;
   const int tag = comm.next_collective_tag();
+  const Schedule& s = shared_schedule(Algo::scan_balanced, p);
 
-  auto stripped = [&](const T& v) -> T {
-    if constexpr (std::is_same_v<Strip, std::nullptr_t>) {
-      return v;
-    } else {
-      return strip(v);
-    }
-  };
-
-  for (int k = 0; (1 << k) < p; ++k) {
-    const int partner = r ^ (1 << k);
-    if (partner >= p) {
+  for (std::size_t i = 0; i < s.rounds(); ++i) {
+    const auto round = s.round(i);
+    const auto mine = std::find_if(round.begin(), round.end(),
+                                   [&](const Step& st) { return st.dst == r; });
+    if (mine == round.end()) {
       // No partner this phase: keep the scan component, the auxiliary
       // components become undefined (paper: op((s,t,u,v), ()) = ((s,_,_,_),())).
       value = degrade(std::move(value));
       continue;
     }
-    T other = comm.sendrecv_tagged(partner, stripped(value), tag);
-    if (partner > r) {
+    if constexpr (std::is_same_v<Strip, std::nullptr_t>)
+      comm.send_raw(mine->src, value, tag);
+    else
+      comm.send_raw(mine->src, strip(value), tag);
+    T other = comm.recv_raw<T>(mine->src, tag);
+    if (mine->land == Land::upper) {
       auto [lo, hi] = op2(std::move(value), std::move(other));
       value = std::move(lo);
     } else {

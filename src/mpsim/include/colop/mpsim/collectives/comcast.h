@@ -21,6 +21,7 @@
 
 #include "colop/mpsim/collectives/bcast.h"
 #include "colop/mpsim/comm.h"
+#include "colop/mpsim/schedule.h"
 
 namespace colop::mpsim {
 
@@ -48,7 +49,7 @@ template <typename B, typename G>
 template <typename B, typename Init, typename E, typename O, typename Extract>
 [[nodiscard]] B comcast_repeat(const Comm& comm, B value, Init init, E e, O o,
                                Extract extract, int root = 0,
-                               BcastAlgo algo = BcastAlgo::binomial) {
+                               Algo algo = Algo::bcast_binomial) {
   value = bcast(comm, std::move(value), root, algo);
   const unsigned k =
       static_cast<unsigned>((comm.rank() - root + comm.size()) % comm.size());
@@ -56,27 +57,29 @@ template <typename B, typename Init, typename E, typename O, typename Extract>
   return extract(std::move(state));
 }
 
-/// Cost-optimal doubling: at step 2^k, every rank i < 2^k sends the
-/// advanced state o(s) to rank i + 2^k and keeps e(s).  No redundant
-/// computation, but each message carries the full auxiliary tuple.
+/// Cost-optimal doubling (comcast_costopt): at step 2^k, every rank
+/// i < 2^k sends the advanced state o(s) to rank i + 2^k and keeps e(s).
+/// No redundant computation, but each message carries the full auxiliary
+/// tuple.
 template <typename B, typename Init, typename E, typename O, typename Extract>
 [[nodiscard]] B comcast_costopt(const Comm& comm, B value, Init init, E e, O o,
                                 Extract extract) {
-  const int p = comm.size();
   const int r = comm.rank();
   const int tag = comm.next_collective_tag();
   using S = decltype(init(std::move(value)));
 
-  std::optional<S> state;
+  std::optional<S> state, shipped;
   if (r == 0) state.emplace(init(std::move(value)));
-  for (int step = 1; step < p; step <<= 1) {
-    if (r < step) {
-      if (r + step < p) comm.send_raw(r + step, o(*state), tag);
-      state.emplace(e(std::move(*state)));
-    } else if (r < 2 * step) {
-      state.emplace(comm.recv_raw<S>(r - step, tag));
-    }
-  }
+  walk(shared_schedule(Algo::comcast_costopt, comm.size()), r,
+       [&](const Step& st) { comm.send_raw(st.dst, std::move(*shipped), tag); },
+       [&](const Step& st) {
+         if (st.land != Land::local)
+           state.emplace(comm.recv_raw<S>(st.src, tag));
+         else if (st.op == 0)
+           shipped.emplace(o(*state));
+         else
+           state.emplace(e(std::move(*state)));
+       });
   return extract(std::move(*state));
 }
 

@@ -9,6 +9,7 @@
 
 #include "colop/mpsim/collectives/gatherscatter.h"
 #include "colop/mpsim/comm.h"
+#include "colop/mpsim/schedule.h"
 #include "colop/support/bits.h"
 
 namespace colop::mpsim {
@@ -18,21 +19,18 @@ namespace colop::mpsim {
 /// strictly in rank order (associativity suffices).
 template <typename T, typename Op>
 [[nodiscard]] std::optional<T> exscan(const Comm& comm, T value, Op op) {
-  const int p = comm.size();
-  const int r = comm.rank();
   const int tag = comm.next_collective_tag();
 
   // buf covers [r - 2^k + 1, r] after phase k; acc covers [.., r-1].
   T buf = std::move(value);
   std::optional<T> acc;
-  for (int d = 1; d < p; d <<= 1) {
-    if (r + d < p) comm.send_raw(r + d, buf, tag);
-    if (r - d >= 0) {
-      T got = comm.recv_raw<T>(r - d, tag);  // covers [r-2d+1, r-d]
-      acc = acc ? op(got, std::move(*acc)) : got;
-      buf = op(std::move(got), std::move(buf));
-    }
-  }
+  walk(shared_schedule(Algo::exscan_doubling, comm.size()), comm.rank(),
+       [&](const Step& st) { comm.send_raw(st.dst, buf, tag); },
+       [&](const Step& st) {
+         T got = comm.recv_raw<T>(st.src, tag);  // the d inputs up to src
+         acc = acc ? op(got, std::move(*acc)) : got;
+         buf = op(std::move(got), std::move(buf));
+       });
   return acc;
 }
 
@@ -55,38 +53,25 @@ template <typename T, typename Op>
 
   if (commutative && is_pow2(static_cast<std::uint64_t>(p))) {
     const int tag = comm.next_collective_tag();
-    // Current index range [lo, lo+len) this rank is responsible for.
-    int lo = 0, len = p;
+    // `mine` holds the segments [base, base + mine.size()) this rank is
+    // still responsible for; each level ships the half the partner keeps.
+    int base = 0;
     std::vector<T> mine = std::move(blocks);
-    while (len > 1) {
-      const int half = len / 2;
-      const int mask = half;  // partner differs in this bit of the range
-      const int partner = r ^ mask;
-      const bool upper = (r & mask) != 0;
-      // Ship the half that belongs to the partner's side.
-      const int ship_lo = upper ? 0 : half;  // offsets within `mine`
-      std::vector<T> outgoing(
-          std::make_move_iterator(mine.begin() + ship_lo),
-          std::make_move_iterator(mine.begin() + ship_lo + half));
-      comm.send_raw(partner, std::move(outgoing), tag);
-      auto incoming = comm.recv_raw<std::vector<T>>(partner, tag);
-      const int keep_lo = upper ? half : 0;
-      std::vector<T> kept(std::make_move_iterator(mine.begin() + keep_lo),
-                          std::make_move_iterator(mine.begin() + keep_lo + half));
-      // Combine in rank order: the partner's accumulated rank set is an
-      // aligned block entirely below or above ours.
-      for (int j = 0; j < half; ++j) {
-        kept[static_cast<std::size_t>(j)] =
-            partner < r ? op(std::move(incoming[static_cast<std::size_t>(j)]),
-                             std::move(kept[static_cast<std::size_t>(j)]))
-                        : op(std::move(kept[static_cast<std::size_t>(j)]),
-                             std::move(incoming[static_cast<std::size_t>(j)]));
-      }
-      mine = std::move(kept);
-      lo += upper ? half : 0;
-      len = half;
-    }
-    COLOP_ASSERT(lo == r, "reduce_scatter: range did not converge to rank");
+    walk(shared_schedule(Algo::reduce_scatter_halving, p), r,
+         [&](const Step& st) {
+           const auto at = mine.begin() + (st.lo - base);
+           std::vector<T> out(std::make_move_iterator(at),
+                              std::make_move_iterator(at + st.len));
+           mine.erase(at, at + st.len);
+           if (st.lo == base) base += st.len;
+           comm.send_raw(st.dst, std::move(out), tag);
+         },
+         [&](const Step& st) {
+           auto in = comm.recv_raw<std::vector<T>>(st.src, tag);
+           for (std::size_t j = 0; j < in.size(); ++j)
+             mine[j] = land(st, std::move(mine[j]), std::move(in[j]), op);
+         });
+    COLOP_ASSERT(base == r, "reduce_scatter: range did not converge to rank");
     return std::move(mine[0]);
   }
 

@@ -5,13 +5,12 @@
 // collective-operations library (and the paper's intro: "scatter, etc.")
 // provides these as well.
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "colop/mpsim/comm.h"
-#include "colop/support/bits.h"
+#include "colop/mpsim/schedule.h"
 
 namespace colop::mpsim {
 
@@ -22,44 +21,34 @@ template <typename T>
 [[nodiscard]] T scatter(const Comm& comm, std::vector<T> blocks, int root = 0) {
   const int p = comm.size();
   const int r = comm.rank();
-  COLOP_REQUIRE(root >= 0 && root < p, "scatter: invalid root");
+  const Schedule& s = shared_schedule(Algo::scatter_binomial, p, {.root = root});
   if (p == 1) {
     COLOP_REQUIRE(blocks.size() == 1, "scatter: root needs one block per rank");
     return std::move(blocks[0]);
   }
   const int tag = comm.next_collective_tag();
-  const int vr = (r - root + p) % p;
-  auto real = [&](int v) { return (v + root) % p; };
 
-  // `span` = number of consecutive virtual ranks my current payload serves.
+  // `payload` holds the blocks of the consecutive virtual ranks (root = 0)
+  // this rank still serves; a send ships its upper `len` of them.
   std::vector<T> payload;
-  int span = 0;
-  if (vr == 0) {
+  if (r == root) {
     COLOP_REQUIRE(static_cast<int>(blocks.size()) == p,
                   "scatter: root needs one block per rank");
-    // The distribution runs in virtual-rank space: payload[j] must be the
-    // block destined for virtual rank j = real rank (j + root) % p.
     payload.reserve(static_cast<std::size_t>(p));
     for (int j = 0; j < p; ++j)
       payload.push_back(std::move(blocks[static_cast<std::size_t>((j + root) % p)]));
-    span = p;
-  } else {
-    // Receive my subtree's payload from the binomial-tree parent, which is
-    // the virtual rank with my lowest set bit cleared (it sent to me at
-    // mask = lowest set bit, mirroring the forwarding loop below).
-    const int mask = vr & (-vr);
-    payload = comm.recv_raw<std::vector<T>>(real(vr - mask), tag);
-    span = static_cast<int>(payload.size());
   }
-  // Forward the upper halves to children (virtual ranks vr + mask).
-  for (int mask = next_pow2(static_cast<std::uint64_t>(p)) / 2; mask >= 1; mask >>= 1) {
-    if (vr % (2 * mask) != 0 || vr + mask >= p || mask >= span) continue;
-    std::vector<T> upper(std::make_move_iterator(payload.begin() + mask),
-                         std::make_move_iterator(payload.end()));
-    payload.resize(static_cast<std::size_t>(mask));
-    span = mask;
-    comm.send_raw(real(vr + mask), std::move(upper), tag);
-  }
+  walk(s, r,
+       [&](const Step& st) {
+         const auto at = payload.end() - st.len;
+         std::vector<T> upper(std::make_move_iterator(at),
+                              std::make_move_iterator(payload.end()));
+         payload.erase(at, payload.end());
+         comm.send_raw(st.dst, std::move(upper), tag);
+       },
+       [&](const Step& st) {
+         payload = comm.recv_raw<std::vector<T>>(st.src, tag);
+       });
   COLOP_ASSERT(!payload.empty(), "scatter: rank received no block");
   return std::move(payload[0]);
 }
@@ -70,32 +59,25 @@ template <typename T>
 [[nodiscard]] std::vector<T> gather(const Comm& comm, T value, int root = 0) {
   const int p = comm.size();
   const int r = comm.rank();
-  COLOP_REQUIRE(root >= 0 && root < p, "gather: invalid root");
+  const Schedule& s = shared_schedule(Algo::gather_binomial, p, {.root = root});
   const int tag = comm.next_collective_tag();
-  const int vr = (r - root + p) % p;
-  auto real = [&](int v) { return (v + root) % p; };
 
+  // acc holds the values of consecutive virtual ranks from this one up.
   std::vector<T> acc;
   acc.push_back(std::move(value));
-  for (int mask = 1; mask < p; mask <<= 1) {
-    if (vr & mask) {
-      comm.send_raw(real(vr - mask), std::move(acc), tag);
-      return {};
-    }
-    if (vr + mask < p) {
-      auto part = comm.recv_raw<std::vector<T>>(real(vr + mask), tag);
-      acc.insert(acc.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-    }
-  }
-  // Only the root reaches here.  Rotate from virtual to real rank order.
-  if (root != 0) {
-    std::vector<T> rotated(static_cast<std::size_t>(p));
-    for (int v = 0; v < p; ++v)
-      rotated[static_cast<std::size_t>(real(v))] = std::move(acc[static_cast<std::size_t>(v)]);
-    return rotated;
-  }
-  return acc;
+  walk(s, r, [&](const Step& st) { comm.send_raw(st.dst, std::move(acc), tag); },
+       [&](const Step& st) {
+         auto part = comm.recv_raw<std::vector<T>>(st.src, tag);
+         acc.insert(acc.end(), std::make_move_iterator(part.begin()),
+                    std::make_move_iterator(part.end()));
+       });
+  if (r != root) return {};
+  // Rotate from virtual to real rank order.
+  std::vector<T> result(static_cast<std::size_t>(p));
+  for (int v = 0; v < p; ++v)
+    result[static_cast<std::size_t>((v + root) % p)] =
+        std::move(acc[static_cast<std::size_t>(v)]);
+  return result;
 }
 
 /// Allgather via the Bruck dissemination algorithm (works for any p in
@@ -107,21 +89,19 @@ template <typename T>
   if (p == 1) return {std::move(value)};
   const int tag = comm.next_collective_tag();
 
-  // have[j] = value originating at rank (r + j) % p.  Entering the phase
-  // with distance `step`, a rank holds offsets [0, step), so offsets never
-  // travel: a message carries the sender's first min(step, p - step)
-  // values (the ones the receiver still needs), which land at j + step.
+  // have[j] = value originating at rank (r + j) % p; a message carries the
+  // sender's first `len` values, which land after the receiver's own.
   std::vector<T> have;
   have.push_back(std::move(value));
-  for (int step = 1; step < p; step <<= 1) {
-    const int to = (r - step + p) % p;
-    const int from = (r + step) % p;
-    std::vector<T> outgoing(
-        have.begin(), have.begin() + std::min(step, p - step));
-    comm.send_raw(to, std::move(outgoing), tag);
-    for (auto& v : comm.recv_raw<std::vector<T>>(from, tag))
-      have.push_back(std::move(v));
-  }
+  walk(shared_schedule(Algo::allgather_bruck, p), r,
+       [&](const Step& st) {
+         comm.send_raw(st.dst, std::vector<T>(have.begin(), have.begin() + st.len),
+                       tag);
+       },
+       [&](const Step& st) {
+         for (auto& v : comm.recv_raw<std::vector<T>>(st.src, tag))
+           have.push_back(std::move(v));
+       });
   std::vector<T> result(static_cast<std::size_t>(p));
   for (int j = 0; j < p; ++j)
     result[static_cast<std::size_t>((r + j) % p)] =
@@ -140,12 +120,14 @@ template <typename T>
   const int tag = comm.next_collective_tag();
   std::vector<T> result(static_cast<std::size_t>(p));
   result[static_cast<std::size_t>(r)] = std::move(blocks[static_cast<std::size_t>(r)]);
-  for (int i = 1; i < p; ++i) {
-    const int to = (r + i) % p;
-    const int from = (r - i + p) % p;
-    comm.send_raw(to, std::move(blocks[static_cast<std::size_t>(to)]), tag);
-    result[static_cast<std::size_t>(from)] = comm.recv_raw<T>(from, tag);
-  }
+  walk(shared_schedule(Algo::alltoall_pairwise, p), r,
+       [&](const Step& st) {
+         comm.send_raw(st.dst, std::move(blocks[static_cast<std::size_t>(st.lo)]),
+                       tag);
+       },
+       [&](const Step& st) {
+         result[static_cast<std::size_t>(st.src)] = comm.recv_raw<T>(st.src, tag);
+       });
   return result;
 }
 

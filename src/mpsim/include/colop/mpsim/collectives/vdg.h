@@ -20,6 +20,7 @@
 #include "colop/mpsim/collectives/exscan.h"
 #include "colop/mpsim/collectives/gatherscatter.h"
 #include "colop/mpsim/comm.h"
+#include "colop/mpsim/schedule.h"
 
 namespace colop::mpsim {
 
@@ -80,25 +81,28 @@ template <typename E>
                                              std::vector<E> block,
                                              int segments, int root = 0) {
   const int p = comm.size();
-  COLOP_REQUIRE(segments >= 1, "bcast_pipelined: need at least one segment");
+  const Schedule& s = shared_schedule(Algo::bcast_pipelined, p,
+                              {.root = root, .segments = segments});
   if (p == 1) return block;
   const int tag = comm.next_collective_tag();
-  const int vr = (comm.rank() - root + p) % p;
-  auto real = [&](int v) { return (v + root) % p; };
+  const bool at_root = comm.rank() == root;
 
-  if (vr == 0) {
-    auto segs = detail::split_segments(block, segments);  // keep `block`
-    for (auto& seg : segs) comm.send_raw(real(1), std::move(seg), tag);
-    return block;
-  }
-  std::vector<std::vector<E>> collected;
-  collected.reserve(static_cast<std::size_t>(segments));
-  for (int k = 0; k < segments; ++k) {
-    auto seg = comm.recv_raw<std::vector<E>>(real(vr - 1), tag);
-    if (vr + 1 < p) comm.send_raw(real(vr + 1), seg, tag);
-    collected.push_back(std::move(seg));
-  }
-  return detail::join_segments(std::move(collected));
+  // The root sends its own cut; every other rank forwards what it gets.
+  auto segs = at_root ? detail::split_segments(block, segments)  // keep `block`
+                      : std::vector<std::vector<E>>(static_cast<std::size_t>(segments));
+  walk(s, comm.rank(),
+       [&](const Step& st) {
+         auto& seg = segs[static_cast<std::size_t>(st.lo)];
+         if (at_root)
+           comm.send_raw(st.dst, std::move(seg), tag);
+         else
+           comm.send_raw(st.dst, seg, tag);
+       },
+       [&](const Step& st) {
+         segs[static_cast<std::size_t>(st.lo)] =
+             comm.recv_raw<std::vector<E>>(st.src, tag);
+       });
+  return at_root ? block : detail::join_segments(std::move(segs));
 }
 
 /// Reduce-scatter + allgather allreduce of a vector block (van de Geijn).

@@ -107,13 +107,6 @@ class Comm {
     return kCollectiveTagBase + static_cast<int>(collective_seq_++ & 0xfffff);
   }
 
-  /// Internal sendrecv usable with collective tags.
-  template <typename T>
-  [[nodiscard]] T sendrecv_tagged(int partner, T value, int tag) const {
-    send_raw(partner, std::move(value), tag);
-    return recv_raw<T>(partner, tag);
-  }
-
   template <typename T>
   void send_raw(int dest, T value, int tag) const {
     COLOP_REQUIRE(dest >= 0 && dest < size(), "mpsim: send to invalid rank");

@@ -11,5 +11,6 @@
 #include "colop/mpsim/comm.h"           // IWYU pragma: export
 #include "colop/mpsim/group.h"          // IWYU pragma: export
 #include "colop/mpsim/request.h"        // IWYU pragma: export
+#include "colop/mpsim/schedule.h"       // IWYU pragma: export
 #include "colop/mpsim/spmd.h"           // IWYU pragma: export
 #include "colop/mpsim/stats.h"          // IWYU pragma: export

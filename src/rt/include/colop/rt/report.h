@@ -76,6 +76,7 @@ struct RepeatStats {
 struct RtReport {
   std::string program;       ///< joined stage labels
   int procs = 0;
+  std::size_t block = 0;     ///< elements per rank the run used (0: unknown)
   bool used_packed = false;
   double wall_ms = 0;        ///< measured wall time of the reported run
   double scale_ns_per_op = 0;///< fitted wall-ns per model op unit
@@ -96,6 +97,7 @@ struct RtReportOptions {
   /// empty = no drift section.
   std::vector<double> model_stage_times;
   double wall_seconds = 0;   ///< executor-measured wall time of the run
+  std::size_t block = 0;     ///< elements per rank the run used
   bool used_packed = false;
   bool keep_events = true;   ///< retain converted events for trace/html
   RepeatStats timing{};

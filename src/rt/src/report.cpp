@@ -48,6 +48,7 @@ RtReport build_report(const FleetSnapshot& snap, const RtReportOptions& opts) {
   RtReport rep;
   rep.procs = snap.ranks;
   rep.used_packed = opts.used_packed;
+  rep.block = opts.block;
   rep.wall_ms = opts.wall_seconds * 1e3;
   rep.timing = opts.timing;
   {
@@ -135,8 +136,9 @@ RtReport build_report(const FleetSnapshot& snap, const RtReportOptions& opts) {
 
 std::string RtReport::render_text() const {
   std::ostringstream os;
-  os << "runtime telemetry (p=" << procs << ", plane="
-     << (used_packed ? "packed" : "boxed") << ")\n";
+  os << "runtime telemetry (p=" << procs;
+  if (block > 0) os << ", block=" << block << " elements";
+  os << ", plane=" << (used_packed ? "packed" : "boxed") << ")\n";
   if (!program.empty()) os << "program : " << program << "\n";
   os << "wall    : " << fmt(wall_ms) << " ms";
   if (timing.repeats > 1)
@@ -184,7 +186,7 @@ std::string RtReport::render_text() const {
 void RtReport::write_json(std::ostream& os) const {
   namespace js = obs::json;
   os << "{\"program\":" << js::quote(program) << obs::trace_id_json_field()
-     << ",\"procs\":" << procs
+     << ",\"procs\":" << procs << ",\"block\":" << block
      << ",\"plane\":" << js::quote(used_packed ? "packed" : "boxed")
      << ",\"wall_ms\":" << js::number(wall_ms)
      << ",\"scale_ns_per_op\":" << js::number(scale_ns_per_op)

@@ -6,13 +6,9 @@
 // which makes a binomial broadcast cost log p sequential sends at the
 // root, exactly as the paper's estimates assume).
 //
-// The schedules in schedules.h replay the communication patterns of the
-// mpsim collective templates, advancing virtual per-processor clocks
-// instead of moving data; tests/test_traffic_differential.cpp checks each
-// against its mpsim twin by message count.  By default simnet prices the
-// butterfly bcast and (all)reduce of the paper's model while the thread
-// executor runs binomial trees, so the two sides agree on time at powers
-// of two but not on message counts.
+// schedules.h prices the collectives from the same schedule values the
+// mpsim collectives run (colop/mpsim/schedule.h), advancing virtual
+// per-processor clocks instead of moving data.
 //
 // The simulator substitutes for the paper's 64-processor Parsytec
 // wall-clock measurements (DESIGN.md §2): genuine 64-way timings need 64

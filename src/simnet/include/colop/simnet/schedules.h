@@ -1,10 +1,13 @@
 #pragma once
-// Collective-operation schedules on the simulated machine.  Each function
-// replays the communication pattern of one mpsim collective template,
-// charging virtual time: one message of (m * w) words per link use and
-// (m * ops) compute units per operator sweep over a block of m elements.
-// tests/test_traffic_differential.cpp runs every schedule here against its
-// mpsim twin on threads and requires the same message count.
+// Collective schedules on the simulated machine.  There is one schedule
+// per algorithm: mpsim::schedule (colop/mpsim/schedule.h) generates it,
+// the mpsim collectives run it on real data, and `price` below charges it
+// on virtual clocks — one message of (segments carried * m/segments * w)
+// words per step, an exchange for each mutual pair of steps, and
+// (elements * ops) compute units per operator sweep.  A new algorithm is
+// one new generator there; simnet prices it with no code of its own.
+// tests/test_traffic_differential.cpp runs every algorithm on threads and
+// here, and requires the same message count.
 //
 // Defaults differ between the two sides.  exec::run_on_simnet prices the
 // paper's butterfly bcast and butterfly (all)reduce (SimSchedules{}); the
@@ -22,67 +25,22 @@
 // and the packed executors (colop/ir/packed.h) charge exactly this via
 // payload_bytes — so simnet predictions stay valid whichever plane runs.
 
-#include "colop/mpsim/balanced_tree.h"
+#include "colop/mpsim/schedule.h"
 #include "colop/simnet/machine.h"
 
 namespace colop::simnet {
 
-// --- broadcast -----------------------------------------------------------
-/// Rooted schedules require 0 <= root < p, as their mpsim twins do.
-void bcast_binomial(SimMachine& mach, double m, double w, int root = 0);
-void bcast_butterfly(SimMachine& mach, double m, double w, int root = 0);
-/// van de Geijn large-block broadcast: binomial scatter of segments
-/// (halving payloads) + Bruck allgather.  ~2 log p start-ups, ~2m words.
-void bcast_vdg(SimMachine& mach, double m, double w);
-/// van de Geijn allreduce: recursive-halving reduce-scatter + allgather.
-void allreduce_vdg(SimMachine& mach, double m, double w, double ops);
-/// Pipelined chain broadcast with `segments` chunks.
-void bcast_pipelined(SimMachine& mach, double m, double w, int segments);
-/// Latency/bandwidth-optimal chunk count for the chain pipeline:
-/// k* = sqrt((p-2) * m * tw / ts), at least 1.
+/// Charge `algo`'s schedule (mpsim::schedule(algo, mach.size(), spec)) on
+/// `mach` for a block of `m` elements of `w` words each.  Per round: the
+/// sends and exchanges, then the receives, then the compute; a step's
+/// operator costs `ops` op units per element, or `ops2` for operator 1
+/// (comcast_costopt's e).  Rooted algorithms require 0 <= root < p.
+void price(SimMachine& mach, mpsim::Algo algo, double m, double w,
+           double ops = 0, const mpsim::Spec& spec = {}, double ops2 = 0);
+
+/// Latency/bandwidth-optimal chunk count for the chain pipeline
+/// (bcast_pipelined): k* = sqrt((p-2) * m * tw / ts), at least 1.
 [[nodiscard]] int optimal_segments(int p, double m, double ts, double tw);
-
-// --- reduction -----------------------------------------------------------
-/// Binomial-tree reduce to rank 0 (MPICH-like): ops per element per level;
-/// a root other than 0 costs one more hop from rank 0.
-void reduce_binomial(SimMachine& mach, double m, double w, double ops,
-                     int root = 0);
-/// Butterfly (recursive-doubling) allreduce; the paper's model for both
-/// reduce and allreduce.  Handles non-powers of two with the same
-/// order-preserving pre/post fold as mpsim::allreduce.
-void allreduce_butterfly(SimMachine& mach, double m, double w, double ops);
-
-// --- scan ----------------------------------------------------------------
-/// Butterfly scan: (prefix, total) per rank; up to 2 ops per element per
-/// phase (Eq 17).
-void scan_butterfly(SimMachine& mach, double m, double w, double ops);
-/// Hillis–Steele doubling scan: 1 op per element per phase, one-way sends.
-void scan_doubling(SimMachine& mach, double m, double w, double ops);
-
-// --- the paper's balanced collectives -------------------------------------
-/// reduce_balanced over the unique balanced tree (rule SR-Reduction); a
-/// root other than 0 costs one more hop from rank 0.
-void reduce_balanced(SimMachine& mach, double m, double w, double ops,
-                     int root = 0);
-/// scan_balanced butterfly (rule SS-Scan): one op2 sweep per phase.
-void scan_balanced(SimMachine& mach, double m, double w, double ops);
-/// allreduce_balanced: butterfly for 2^k, reduce_balanced + binomial bcast
-/// otherwise.
-void allreduce_balanced(SimMachine& mach, double m, double w, double ops);
-
-// --- comcast (Section 3.4) -------------------------------------------------
-/// bcast ; map#(repeat): broadcast one w-word block then rank k performs
-/// digits(k) local levels of `ops_per_level` per element.
-void comcast_repeat(SimMachine& mach, double m, double w, double ops_per_level,
-                    bool butterfly_bcast = true);
-/// Cost-optimal doubling: rank i < 2^k computes o (ops_o), sends the FULL
-/// auxiliary state (state_w words/element) to i + 2^k, then computes e
-/// (ops_e).  No redundant computation, more communication.
-void comcast_costopt(SimMachine& mach, double m, double state_w, double ops_o,
-                     double ops_e);
-/// Naive comcast: bcast then rank k applies g k times (linear local work).
-void comcast_naive(SimMachine& mach, double m, double w, double ops_g,
-                   bool butterfly_bcast = true);
 
 // --- local stages -----------------------------------------------------------
 /// map f on every processor: m * ops compute units each.

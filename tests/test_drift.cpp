@@ -54,8 +54,8 @@ TEST(Drift, SimTrafficClosedFormsOnOneStage) {
   EXPECT_EQ(row("map(pair)").sim_messages, 0u);
   EXPECT_DOUBLE_EQ(row("map(pair)").sim_words, 0.0);
 
-  opts.sched.bcast = exec::SimSchedules::Bcast::binomial;
-  opts.sched.reduce = exec::SimSchedules::Reduce::binomial;
+  opts.sched.bcast = mpsim::Algo::bcast_binomial;
+  opts.sched.reduce = mpsim::Algo::reduce_binomial;
   EXPECT_EQ(row("bcast").sim_messages, 15u);
   EXPECT_EQ(row("reduce(+)").sim_messages, 15u);
   EXPECT_EQ(row("reduce(+,root=3)").sim_messages, 16u);  // + hop 0 -> 3

@@ -63,7 +63,7 @@ TEST_P(CollectivesP, BcastButterflyFromRankZero) {
   const int p = GetParam();
   auto out = run_spmd_collect<i64>(p, [](Comm& comm) {
     const i64 mine = comm.rank() == 0 ? 37 : -1;
-    return bcast(comm, mine, 0, BcastAlgo::butterfly);
+    return bcast(comm, mine, 0, Algo::bcast_butterfly);
   });
   for (int r = 0; r < p; ++r) EXPECT_EQ(out[static_cast<std::size_t>(r)], 37) << "rank " << r;
 }
@@ -71,7 +71,7 @@ TEST_P(CollectivesP, BcastButterflyFromRankZero) {
 TEST_P(CollectivesP, BcastFromNonzeroRoot) {
   const int p = GetParam();
   const int root = (p - 1) / 2;
-  for (auto algo : {BcastAlgo::binomial, BcastAlgo::butterfly}) {
+  for (auto algo : {Algo::bcast_binomial, Algo::bcast_butterfly}) {
     auto out = run_spmd_collect<i64>(p, [&](Comm& comm) {
       const i64 mine = comm.rank() == root ? 7 : -1;
       return bcast(comm, mine, root, algo);
@@ -176,14 +176,14 @@ TEST_P(CollectivesP, ScanDoublingSum) {
   const auto xs = random_inputs(p, 606);
   const auto plus = [](i64 a, i64 b) { return a + b; };
   auto out = run_spmd_collect<i64>(p, [&](Comm& comm) {
-    return scan(comm, xs[static_cast<std::size_t>(comm.rank())], plus, ScanAlgo::doubling);
+    return scan(comm, xs[static_cast<std::size_t>(comm.rank())], plus, Algo::scan_doubling);
   });
   EXPECT_EQ(out, ref_scan(xs, plus));
 }
 
 TEST_P(CollectivesP, ScanNonCommutativeStringConcat) {
   const int p = GetParam();
-  for (auto algo : {ScanAlgo::butterfly, ScanAlgo::doubling}) {
+  for (auto algo : {Algo::scan_butterfly, Algo::scan_doubling}) {
     auto out = run_spmd_collect<std::string>(p, [&](Comm& comm) {
       return scan(comm, std::string(1, static_cast<char>('a' + comm.rank() % 26)),
                   [](std::string a, const std::string& b) { return std::move(a) += b; },

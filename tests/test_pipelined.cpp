@@ -56,7 +56,7 @@ TEST(PipelinedSim, MakespanMatchesClosedForm) {
   const int p = 8, segments = 4;
   const double m = 400, seg = m / segments;
   simnet::SimMachine mach(p, net);
-  simnet::bcast_pipelined(mach, m, 1, segments);
+  simnet::price(mach, mpsim::Algo::bcast_pipelined, m, 1, 0, {.segments = segments});
   const double hop = net.ts + seg * net.tw;
   EXPECT_DOUBLE_EQ(mach.makespan(), (p - 1 + segments - 1) * hop);
 }
@@ -83,14 +83,14 @@ TEST(PipelinedSim, OptimalSegmentsMinimizesTheClosedForm) {
 TEST(Autotune, PicksButterflyForSmallAndBandwidthSchedulesForLargeBlocks) {
   const auto [small_sched, t_small] =
       exec::best_bcast_schedule({.p = 64, .m = 4, .ts = 1000, .tw = 2});
-  EXPECT_TRUE(small_sched == exec::SimSchedules::Bcast::butterfly ||
-              small_sched == exec::SimSchedules::Bcast::binomial)
+  EXPECT_TRUE(small_sched == mpsim::Algo::bcast_butterfly ||
+              small_sched == mpsim::Algo::bcast_binomial)
       << static_cast<int>(small_sched);
 
   const auto [large_sched, t_large] =
       exec::best_bcast_schedule({.p = 64, .m = 100000, .ts = 1000, .tw = 2});
-  EXPECT_TRUE(large_sched == exec::SimSchedules::Bcast::vdg ||
-              large_sched == exec::SimSchedules::Bcast::pipelined)
+  EXPECT_TRUE(large_sched == mpsim::Algo::bcast_vdg ||
+              large_sched == mpsim::Algo::bcast_pipelined)
       << static_cast<int>(large_sched);
   EXPECT_GT(t_large, t_small);
 }

@@ -32,10 +32,11 @@ const char* kPrograms[] = {
 };
 
 TEST(Profile, BusyCommIdleTileTheMakespanOnEveryTracedSchedule) {
-  using B = exec::SimSchedules::Bcast;
-  using R = exec::SimSchedules::Reduce;
-  for (const B b : {B::butterfly, B::binomial, B::vdg, B::pipelined})
-    for (const R r : {R::butterfly, R::binomial, R::vdg})
+  using A = mpsim::Algo;
+  for (const A b : {A::bcast_butterfly, A::bcast_binomial, A::bcast_vdg,
+                    A::bcast_pipelined})
+    for (const A r :
+         {A::allreduce_butterfly, A::reduce_binomial, A::allreduce_vdg})
       for (const char* text : kPrograms)
         for (const int p : {2, 5, 8, 13}) {
           model::Machine mach = kMach;

@@ -83,9 +83,9 @@ TEST_P(SimPow2P, BcastMatchesEq15) {
   for (bool butterfly : {false, true}) {
     SimMachine mach(p, kNet);
     if (butterfly)
-      bcast_butterfly(mach, m, 1);
+      price(mach, mpsim::Algo::bcast_butterfly, m, 1);
     else
-      bcast_binomial(mach, m, 1);
+      price(mach, mpsim::Algo::bcast_binomial, m, 1);
     EXPECT_DOUBLE_EQ(mach.makespan(), lg * (kNet.ts + m * kNet.tw))
         << (butterfly ? "butterfly" : "binomial");
   }
@@ -95,11 +95,11 @@ TEST_P(SimPow2P, ReduceMatchesEq16) {
   const int p = GetParam();
   const double m = 10, lg = colop::log2_floor(static_cast<std::uint64_t>(p));
   SimMachine butterfly(p, kNet);
-  allreduce_butterfly(butterfly, m, 1, 1);
+  price(butterfly, mpsim::Algo::allreduce_butterfly, m, 1, 1);
   EXPECT_DOUBLE_EQ(butterfly.makespan(), lg * (kNet.ts + m * (kNet.tw + 1)));
 
   SimMachine binomial(p, kNet);
-  reduce_binomial(binomial, m, 1, 1);
+  price(binomial, mpsim::Algo::reduce_binomial, m, 1, 1);
   EXPECT_DOUBLE_EQ(binomial.makespan(), lg * (kNet.ts + m * (kNet.tw + 1)));
 }
 
@@ -107,7 +107,7 @@ TEST_P(SimPow2P, ScanMatchesEq17) {
   const int p = GetParam();
   const double m = 10, lg = colop::log2_floor(static_cast<std::uint64_t>(p));
   SimMachine mach(p, kNet);
-  scan_butterfly(mach, m, 1, 1);
+  price(mach, mpsim::Algo::scan_butterfly, m, 1, 1);
   EXPECT_DOUBLE_EQ(mach.makespan(), lg * (kNet.ts + m * (kNet.tw + 2)));
 }
 
@@ -116,11 +116,11 @@ TEST_P(SimPow2P, BalancedCollectivesMatchTheirModelRows) {
   const double m = 10, lg = colop::log2_floor(static_cast<std::uint64_t>(p));
   // reduce_balanced with op_sr: 2 words, 4 ops -> log p (ts + m(2tw + 4)).
   SimMachine rb(p, kNet);
-  reduce_balanced(rb, m, 2, 4);
+  price(rb, mpsim::Algo::reduce_balanced, m, 2, 4);
   EXPECT_DOUBLE_EQ(rb.makespan(), lg * (kNet.ts + m * (2 * kNet.tw + 4)));
   // scan_balanced with op_ss: 3 words, 8 ops -> log p (ts + m(3tw + 8)).
   SimMachine sb(p, kNet);
-  scan_balanced(sb, m, 3, 8);
+  price(sb, mpsim::Algo::scan_balanced, m, 3, 8);
   EXPECT_DOUBLE_EQ(sb.makespan(), lg * (kNet.ts + m * (3 * kNet.tw + 8)));
 }
 
@@ -128,20 +128,22 @@ TEST_P(SimPow2P, ComcastRepeatMatchesBsComcastAfterRow) {
   const int p = GetParam();
   const double m = 10, lg = colop::log2_floor(static_cast<std::uint64_t>(p));
   SimMachine mach(p, kNet);
-  comcast_repeat(mach, m, 1, 2);
+  price(mach, mpsim::Algo::comcast_repeat, m, 1, 2,
+        {.bcast = mpsim::Algo::bcast_butterfly});
   EXPECT_DOUBLE_EQ(mach.makespan(), lg * (kNet.ts + m * (kNet.tw + 2)));
 }
 
 TEST(SimSchedules, NonPowerOfTwoStillCompletes) {
   for (int p : {3, 5, 6, 7, 11, 24, 63}) {
     SimMachine mach(p, kNet);
-    bcast_binomial(mach, 4, 1);
-    allreduce_butterfly(mach, 4, 1, 1);
-    scan_butterfly(mach, 4, 1, 1);
-    reduce_balanced(mach, 4, 2, 4);
-    scan_balanced(mach, 4, 3, 8);
-    comcast_repeat(mach, 4, 1, 2);
-    comcast_costopt(mach, 4, 2, 2, 1);
+    price(mach, mpsim::Algo::bcast_binomial, 4, 1);
+    price(mach, mpsim::Algo::allreduce_butterfly, 4, 1, 1);
+    price(mach, mpsim::Algo::scan_butterfly, 4, 1, 1);
+    price(mach, mpsim::Algo::reduce_balanced, 4, 2, 4);
+    price(mach, mpsim::Algo::scan_balanced, 4, 3, 8);
+    price(mach, mpsim::Algo::comcast_repeat, 4, 1, 2,
+          {.bcast = mpsim::Algo::bcast_butterfly});
+    price(mach, mpsim::Algo::comcast_costopt, 4, 2, 2, {}, 1);
     EXPECT_GT(mach.makespan(), 0) << "p=" << p;
   }
 }
@@ -153,8 +155,9 @@ TEST(SimSchedules, CostoptSendsMoreWordsThanRepeat) {
   SimMachine rep(p, kNet), opt(p, kNet);
   // Binomial bcast for the words comparison: the butterfly variant charges
   // full-size exchanges in both directions, which would mask the effect.
-  comcast_repeat(rep, m, 1, 2, /*butterfly_bcast=*/false);
-  comcast_costopt(opt, m, 2, 2, 1);
+  price(rep, mpsim::Algo::comcast_repeat, m, 1, 2,
+        {.bcast = mpsim::Algo::bcast_binomial});
+  price(opt, mpsim::Algo::comcast_costopt, m, 2, 2, {}, 1);
   EXPECT_GT(opt.words_sent(), rep.words_sent());
   // ...and for large blocks it is slower (the paper's measurement).
   EXPECT_GT(opt.makespan(), rep.makespan());
@@ -203,9 +206,9 @@ TEST(SimExecutor, ScheduleChoiceChangesTrafficNotPhases) {
   prog.bcast();
   const model::Machine mach{.p = 16, .m = 10, .ts = 100, .tw = 2};
   const auto butterfly = exec::run_on_simnet(
-      prog, mach, {.bcast = exec::SimSchedules::Bcast::butterfly});
+      prog, mach, {.bcast = mpsim::Algo::bcast_butterfly});
   const auto binomial = exec::run_on_simnet(
-      prog, mach, {.bcast = exec::SimSchedules::Bcast::binomial});
+      prog, mach, {.bcast = mpsim::Algo::bcast_binomial});
   EXPECT_DOUBLE_EQ(butterfly.time, binomial.time);  // same log p phases
   EXPECT_GT(butterfly.messages, binomial.messages); // pairwise exchanges cost
 }
@@ -224,15 +227,15 @@ TEST(SimExecutor, VdgSchedulesBeatButterflyForHugeBlocks) {
   const auto butterfly = exec::run_on_simnet(prog, mach);
   const auto vdg = exec::run_on_simnet(
       prog, mach,
-      {.bcast = exec::SimSchedules::Bcast::vdg,
-       .reduce = exec::SimSchedules::Reduce::vdg});
+      {.bcast = mpsim::Algo::bcast_vdg,
+       .reduce = mpsim::Algo::allreduce_vdg});
   EXPECT_LT(vdg.time, butterfly.time);
 
   // ...and lose for tiny blocks (more start-ups).
   const model::Machine tiny{.p = 64, .m = 1, .ts = 100, .tw = 2};
   EXPECT_GT(exec::run_on_simnet(prog, tiny,
-                                {.bcast = exec::SimSchedules::Bcast::vdg,
-                                 .reduce = exec::SimSchedules::Reduce::vdg})
+                                {.bcast = mpsim::Algo::bcast_vdg,
+                                 .reduce = mpsim::Algo::allreduce_vdg})
                 .time,
             exec::run_on_simnet(prog, tiny).time);
 }

@@ -48,8 +48,8 @@ TEST(Topology, DefaultParametersPreserveTheFullyConnectedModel) {
   const NetParams net{100, 2};
   SimMachine a(8, net);
   SimMachine b(8, NetParams{100, 2, Topology::hypercube, 0});
-  bcast_butterfly(a, 10, 1);
-  bcast_butterfly(b, 10, 1);
+  price(a, mpsim::Algo::bcast_butterfly, 10, 1);
+  price(b, mpsim::Algo::bcast_butterfly, 10, 1);
   EXPECT_DOUBLE_EQ(a.makespan(), b.makespan());
 }
 
@@ -57,8 +57,8 @@ TEST(Topology, MeshSlowsButterflySchedules) {
   const NetParams full{100, 2, Topology::fully_connected, 400};
   const NetParams mesh{100, 2, Topology::mesh2d, 400};
   SimMachine a(64, full), b(64, mesh);
-  scan_butterfly(a, 16, 1, 1);
-  scan_butterfly(b, 16, 1, 1);
+  price(a, mpsim::Algo::scan_butterfly, 16, 1, 1);
+  price(b, mpsim::Algo::scan_butterfly, 16, 1, 1);
   EXPECT_GT(b.makespan(), a.makespan());
 }
 
@@ -69,8 +69,8 @@ TEST(Topology, HypercubeIsFreeForButterflyButNotForBinomialLeaps) {
   const NetParams full{100, 2, Topology::fully_connected, 400};
   {
     SimMachine a(32, cube), b(32, full);
-    allreduce_butterfly(a, 8, 1, 1);
-    allreduce_butterfly(b, 8, 1, 1);
+    price(a, mpsim::Algo::allreduce_butterfly, 8, 1, 1);
+    price(b, mpsim::Algo::allreduce_butterfly, 8, 1, 1);
     EXPECT_DOUBLE_EQ(a.makespan(), b.makespan());
   }
   {

@@ -1,9 +1,9 @@
-// Threads-vs-simnet traffic differential.  The mpsim templates move the
-// data and the simnet schedules price it; nothing else describes a
-// collective.  These tests hold the two descriptions together by
-// measurement: the messages the threads really send must be the messages
-// simnet charges for, exactly, and the bytes on the wire must be 8 bytes
-// per simnet word.
+// Threads-vs-simnet traffic differential.  One schedule per algorithm
+// (colop/mpsim/schedule.h): the mpsim collectives run it on real data and
+// simnet prices it.  These tests check by measurement that the two sides
+// read it alike: the messages the threads really send must be the
+// messages simnet charges for, exactly, and the bytes on the wire must be
+// 8 bytes per simnet word.
 //
 // Bytes may fall below 8 * words, never above, and only where a payload
 // carries an undefined `_` (or nothing) that travels free while simnet
@@ -87,19 +87,20 @@ std::string at(const char* name, int p, int root = 0) {
          " root=" + std::to_string(root);
 }
 
-// --- per algorithm: each schedule in simnet/schedules.h vs its template --
+// --- per algorithm: threads vs simnet on the same schedule ----------------
 
 TEST(TrafficDifferential, BcastBinomialAtEveryRoot) {
   for (int p = 1; p <= kMaxP; ++p)
     for (const int root : roots_for(p)) {
       const auto t = mpsim::run_spmd_traffic(p, [&](mpsim::Comm& comm) {
         (void)mpsim::bcast(comm, input(comm), root,
-                           mpsim::BcastAlgo::binomial);
+                           mpsim::Algo::bcast_binomial);
       });
       expect_traffic(at("bcast_binomial", p, root), t,
                      simulate(p,
                               [&](simnet::SimMachine& m) {
-                                simnet::bcast_binomial(m, kM, 1, root);
+                                simnet::price(m, mpsim::Algo::bcast_binomial, kM, 1, 0,
+                                              {.root = root});
                               }),
                      Bytes::exact);
     }
@@ -112,12 +113,13 @@ TEST(TrafficDifferential, BcastButterflyAtEveryRoot) {
     for (const int root : roots_for(p)) {
       const auto t = mpsim::run_spmd_traffic(p, [&](mpsim::Comm& comm) {
         (void)mpsim::bcast(comm, input(comm), root,
-                           mpsim::BcastAlgo::butterfly);
+                           mpsim::Algo::bcast_butterfly);
       });
       expect_traffic(at("bcast_butterfly", p, root), t,
                      simulate(p,
                               [&](simnet::SimMachine& m) {
-                                simnet::bcast_butterfly(m, kM, 1, root);
+                                simnet::price(m, mpsim::Algo::bcast_butterfly, kM, 1, 0,
+                                              {.root = root});
                               }),
                      Bytes::at_most);
     }
@@ -133,7 +135,7 @@ TEST(TrafficDifferential, BcastVdg) {
     expect_traffic(at("bcast_vdg", p), t,
                    simulate(p,
                             [&](simnet::SimMachine& m) {
-                              simnet::bcast_vdg(m, kM, 1);
+                              simnet::price(m, mpsim::Algo::bcast_vdg, kM, 1);
                             }),
                    kM % p == 0 ? Bytes::exact : Bytes::at_most);
   }
@@ -150,7 +152,8 @@ TEST(TrafficDifferential, BcastPipelined) {
                      t,
                      simulate(p,
                               [&](simnet::SimMachine& m) {
-                                simnet::bcast_pipelined(m, kM, 1, segments);
+                                simnet::price(m, mpsim::Algo::bcast_pipelined, kM, 1, 0,
+                                              {.segments = segments});
                               }),
                      Bytes::exact);
     }
@@ -165,7 +168,7 @@ TEST(TrafficDifferential, AllreduceVdg) {
     expect_traffic(at("allreduce_vdg", p), t,
                    simulate(p,
                             [&](simnet::SimMachine& m) {
-                              simnet::allreduce_vdg(m, kM, 1, 1);
+                              simnet::price(m, mpsim::Algo::allreduce_vdg, kM, 1, 1);
                             }),
                    Bytes::exact);
   }
@@ -181,7 +184,8 @@ TEST(TrafficDifferential, ReduceBinomialAtEveryRoot) {
       expect_traffic(at("reduce_binomial", p, root), t,
                      simulate(p,
                               [&](simnet::SimMachine& m) {
-                                simnet::reduce_binomial(m, kM, 1, 1, root);
+                                simnet::price(m, mpsim::Algo::reduce_binomial, kM, 1, 1,
+                                              {.root = root});
                               }),
                      Bytes::exact);
     }
@@ -195,7 +199,8 @@ TEST(TrafficDifferential, AllreduceButterfly) {
     expect_traffic(at("allreduce_butterfly", p), t,
                    simulate(p,
                             [&](simnet::SimMachine& m) {
-                              simnet::allreduce_butterfly(m, kM, 1, 1);
+                              simnet::price(m, mpsim::Algo::allreduce_butterfly, kM, 1,
+                                            1);
                             }),
                    Bytes::exact);
   }
@@ -204,21 +209,21 @@ TEST(TrafficDifferential, AllreduceButterfly) {
 TEST(TrafficDifferential, ScanButterflyAndDoubling) {
   for (int p = 1; p <= kMaxP; ++p) {
     const auto tb = mpsim::run_spmd_traffic(p, [&](mpsim::Comm& comm) {
-      (void)mpsim::scan(comm, input(comm), plus, mpsim::ScanAlgo::butterfly);
+      (void)mpsim::scan(comm, input(comm), plus, mpsim::Algo::scan_butterfly);
     });
     expect_traffic(at("scan_butterfly", p), tb,
                    simulate(p,
                             [&](simnet::SimMachine& m) {
-                              simnet::scan_butterfly(m, kM, 1, 1);
+                              simnet::price(m, mpsim::Algo::scan_butterfly, kM, 1, 1);
                             }),
                    Bytes::exact);
     const auto td = mpsim::run_spmd_traffic(p, [&](mpsim::Comm& comm) {
-      (void)mpsim::scan(comm, input(comm), plus, mpsim::ScanAlgo::doubling);
+      (void)mpsim::scan(comm, input(comm), plus, mpsim::Algo::scan_doubling);
     });
     expect_traffic(at("scan_doubling", p), td,
                    simulate(p,
                             [&](simnet::SimMachine& m) {
-                              simnet::scan_doubling(m, kM, 1, 1);
+                              simnet::price(m, mpsim::Algo::scan_doubling, kM, 1, 1);
                             }),
                    Bytes::exact);
   }
@@ -233,7 +238,8 @@ TEST(TrafficDifferential, ReduceBalancedAtEveryRoot) {
       expect_traffic(at("reduce_balanced", p, root), t,
                      simulate(p,
                               [&](simnet::SimMachine& m) {
-                                simnet::reduce_balanced(m, kM, 1, 1, root);
+                                simnet::price(m, mpsim::Algo::reduce_balanced, kM, 1, 1,
+                                              {.root = root});
                               }),
                      Bytes::exact);
     }
@@ -252,7 +258,7 @@ TEST(TrafficDifferential, ScanBalanced) {
     expect_traffic(at("scan_balanced", p), t,
                    simulate(p,
                             [&](simnet::SimMachine& m) {
-                              simnet::scan_balanced(m, kM, 1, 1);
+                              simnet::price(m, mpsim::Algo::scan_balanced, kM, 1, 1);
                             }),
                    Bytes::exact);
   }
@@ -267,7 +273,8 @@ TEST(TrafficDifferential, AllreduceBalanced) {
     expect_traffic(at("allreduce_balanced", p), t,
                    simulate(p,
                             [&](simnet::SimMachine& m) {
-                              simnet::allreduce_balanced(m, kM, 1, 1);
+                              simnet::price(m, mpsim::Algo::allreduce_balanced, kM, 1,
+                                            1);
                             }),
                    Bytes::exact);
   }
@@ -276,8 +283,8 @@ TEST(TrafficDifferential, AllreduceBalanced) {
 TEST(TrafficDifferential, ComcastVariants) {
   for (int p = 1; p <= kMaxP; ++p) {
     for (const auto algo :
-         {mpsim::BcastAlgo::binomial, mpsim::BcastAlgo::butterfly}) {
-      const bool butterfly = algo == mpsim::BcastAlgo::butterfly;
+         {mpsim::Algo::bcast_binomial, mpsim::Algo::bcast_butterfly}) {
+      const bool butterfly = algo == mpsim::Algo::bcast_butterfly;
       const auto t = mpsim::run_spmd_traffic(p, [&](mpsim::Comm& comm) {
         (void)mpsim::comcast_repeat(comm, input(comm), same, same, same, same,
                                     0, algo);
@@ -289,7 +296,8 @@ TEST(TrafficDifferential, ComcastVariants) {
                      t,
                      simulate(p,
                               [&](simnet::SimMachine& m) {
-                                simnet::comcast_repeat(m, kM, 1, 1, butterfly);
+                                simnet::price(m, mpsim::Algo::comcast_repeat, kM,
+                                              1, 1, {.bcast = algo});
                               }),
                      butterfly ? Bytes::at_most : Bytes::exact);
     }
@@ -299,7 +307,8 @@ TEST(TrafficDifferential, ComcastVariants) {
     expect_traffic(at("comcast_costopt", p), tc,
                    simulate(p,
                             [&](simnet::SimMachine& m) {
-                              simnet::comcast_costopt(m, kM, 1, 1, 1);
+                              simnet::price(m, mpsim::Algo::comcast_costopt, kM, 1, 1,
+                                            {}, 1);
                             }),
                    Bytes::exact);
     // mpsim's naive comcast always broadcasts binomially.
@@ -309,11 +318,121 @@ TEST(TrafficDifferential, ComcastVariants) {
     expect_traffic(at("comcast_naive", p), tn,
                    simulate(p,
                             [&](simnet::SimMachine& m) {
-                              simnet::comcast_naive(m, kM, 1, 1,
-                                                    /*butterfly_bcast=*/false);
+                              simnet::price(m, mpsim::Algo::comcast_naive, kM, 1, 1,
+                                            {.bcast = mpsim::Algo::bcast_binomial});
                             }),
                    Bytes::exact);
   }
+}
+
+// The building blocks of van de Geijn's schedules and the rest of the
+// substrate, priced straight from their generators.  A message carries
+// whole blocks of kM elements: simnet's block is the p blocks of a rank.
+
+exec::SimRunResult price(int p, mpsim::Algo algo, int root = 0,
+                         double m = static_cast<double>(kM)) {
+  return simulate(p, [&](simnet::SimMachine& mach) {
+    simnet::price(mach, algo, m, 1, 1, {.root = root});
+  });
+}
+
+std::vector<Block> blocks(const mpsim::Comm& comm) {
+  return std::vector<Block>(static_cast<std::size_t>(comm.size()), input(comm));
+}
+
+TEST(TrafficDifferential, ScatterAndGatherAtEveryRoot) {
+  for (int p = 1; p <= kMaxP; ++p)
+    for (const int root : roots_for(p)) {
+      const auto ts = mpsim::run_spmd_traffic(p, [&](mpsim::Comm& comm) {
+        (void)mpsim::scatter(comm, comm.rank() == root ? blocks(comm)
+                                                       : std::vector<Block>{},
+                             root);
+      });
+      expect_traffic(at("scatter_binomial", p, root), ts,
+                     price(p, mpsim::Algo::scatter_binomial, root, p * kM),
+                     Bytes::exact);
+      const auto tg = mpsim::run_spmd_traffic(p, [&](mpsim::Comm& comm) {
+        (void)mpsim::gather(comm, input(comm), root);
+      });
+      expect_traffic(at("gather_binomial", p, root), tg,
+                     price(p, mpsim::Algo::gather_binomial, root, p * kM),
+                     Bytes::exact);
+      EXPECT_EQ(ts.messages, static_cast<std::uint64_t>(p - 1));
+      EXPECT_EQ(tg.messages, static_cast<std::uint64_t>(p - 1));
+    }
+}
+
+TEST(TrafficDifferential, AllgatherAndAlltoall) {
+  for (int p = 1; p <= kMaxP; ++p) {
+    const auto tg = mpsim::run_spmd_traffic(p, [&](mpsim::Comm& comm) {
+      (void)mpsim::allgather(comm, input(comm));
+    });
+    expect_traffic(at("allgather_bruck", p), tg,
+                   price(p, mpsim::Algo::allgather_bruck, 0, p * kM),
+                   Bytes::exact);
+    const auto ta = mpsim::run_spmd_traffic(p, [&](mpsim::Comm& comm) {
+      (void)mpsim::alltoall(comm, blocks(comm));
+    });
+    expect_traffic(at("alltoall_pairwise", p), ta,
+                   price(p, mpsim::Algo::alltoall_pairwise, 0, p * kM),
+                   Bytes::exact);
+    EXPECT_EQ(tg.messages, static_cast<std::uint64_t>(
+                               p * log2_ceil(static_cast<std::uint64_t>(p))));
+    EXPECT_EQ(ta.messages, static_cast<std::uint64_t>(p * (p - 1)));
+  }
+}
+
+TEST(TrafficDifferential, ReduceScatterBothOrders) {
+  // Commutative operators halve at 2^k; the rest (and other p) go through
+  // alltoall and a rank-ordered fold.
+  for (int p = 1; p <= kMaxP; ++p)
+    for (const bool commutative : {true, false}) {
+      const auto t = mpsim::run_spmd_traffic(p, [&](mpsim::Comm& comm) {
+        (void)mpsim::reduce_scatter(comm, blocks(comm), plus, commutative);
+      });
+      const auto algo = commutative ? mpsim::Algo::reduce_scatter_halving
+                                    : mpsim::Algo::reduce_scatter_alltoall;
+      expect_traffic(at(commutative ? "reduce_scatter_halving"
+                                    : "reduce_scatter_alltoall",
+                        p),
+                     t, price(p, algo, 0, p * kM), Bytes::exact);
+    }
+}
+
+TEST(TrafficDifferential, Exscan) {
+  for (int p = 1; p <= kMaxP; ++p) {
+    const auto t = mpsim::run_spmd_traffic(p, [&](mpsim::Comm& comm) {
+      (void)mpsim::exscan(comm, input(comm), plus);
+    });
+    expect_traffic(at("exscan_doubling", p), t,
+                   price(p, mpsim::Algo::exscan_doubling), Bytes::exact);
+    std::uint64_t sends = 0;  // round d: every rank below p - d sends
+    for (int d = 1; d < p; d <<= 1) sends += static_cast<std::uint64_t>(p - d);
+    EXPECT_EQ(t.messages, sends);
+  }
+}
+
+TEST(TrafficDifferential, RootAndSegmentChecksLiveInTheGenerator) {
+  // One check serves both sides: the generator rejects the root before
+  // either a rank thread or a simulated clock moves.
+  for (const auto algo :
+       {mpsim::Algo::bcast_binomial, mpsim::Algo::bcast_butterfly,
+        mpsim::Algo::bcast_vdg, mpsim::Algo::reduce_binomial,
+        mpsim::Algo::reduce_balanced, mpsim::Algo::scatter_binomial,
+        mpsim::Algo::gather_binomial, mpsim::Algo::comcast_repeat})
+    for (const int root : {-1, 4}) {
+      EXPECT_THROW((void)mpsim::schedule(algo, 4, {.root = root}), Error);
+      simnet::SimMachine mach(4, kNet);
+      EXPECT_THROW(simnet::price(mach, algo, kM, 1, 0, {.root = root}), Error);
+    }
+  EXPECT_THROW((void)mpsim::schedule(mpsim::Algo::bcast_pipelined, 4,
+                                     {.segments = 0}),
+               Error);
+  // Even a single rank, which sends nothing, rejects a root it lacks.
+  EXPECT_THROW(mpsim::run_spmd(1, [](mpsim::Comm& comm) {
+                 (void)mpsim::bcast(comm, i64{1}, 1);
+               }),
+               Error);
 }
 
 // --- per program: Table-1 LHS and greedy RHS, threads vs simnet ----------
@@ -341,8 +460,8 @@ std::vector<ir::Program> table1_lhs() {
 // The thread executor runs mpsim's binomial bcast and binomial reduce;
 // simnet prices the same trees under these schedules.
 constexpr exec::SimSchedules kThreadSchedules{
-    .bcast = exec::SimSchedules::Bcast::binomial,
-    .reduce = exec::SimSchedules::Reduce::binomial};
+    .bcast = mpsim::Algo::bcast_binomial,
+    .reduce = mpsim::Algo::reduce_binomial};
 
 TEST(TrafficDifferential, DefaultSchedulesAgreeOnTimeNotOnMessages) {
   // simnet's default prices the model's butterflies, the threads run

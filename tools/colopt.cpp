@@ -201,6 +201,10 @@ struct Flag {
   std::function<void(const std::string&)> act;  // the operand, "" if none
 };
 
+// --rt-report and --serve run the program on one OS thread per processor;
+// a larger --p is a usage error there.  Simnet-only runs take any int.
+constexpr int kMaxThreadRanks = 256;
+
 // Strict numeric operands: the whole operand must be a number in range.  A
 // typo like `--p 6x4`, `--ts fast` or `--m nan` fails loudly here, before
 // it can reach the optimizer, simnet or the rank threads.
@@ -385,7 +389,9 @@ int main(int argc, char** argv) {
   using enum Operand;
   constexpr const char* kPositive = "a positive integer";
   std::vector<Flag> flags = {
-      {"--p", required, "N", "processors (default 64)",
+      {"--p", required, "N",
+       "processors (default 64; at most " + std::to_string(kMaxThreadRanks) +
+           " with --rt-report or --serve)",
        set_int(machine.p, 1, kPositive)},
       {"--m", required, "N", "block size in elements (default 1024)",
        set_number(machine.m)},
@@ -616,6 +622,11 @@ int main(int argc, char** argv) {
     if (live && serve_port < 0)
       throw UsageError{
           "--live requires --serve (it streams through the stats server)"};
+    if ((rep.on[kRt] || serve_port >= 0) && machine.p > kMaxThreadRanks)
+      throw UsageError{"--p " + std::to_string(machine.p) +
+                       " is above the rank-thread cap of " +
+                       std::to_string(kMaxThreadRanks) +
+                       " for --rt-report and --serve"};
     if (live && (!rt::kCompiledIn || !rt::config().enabled))
       throw UsageError{
           "--live reads the rank threads' flight recorders, which are off "
@@ -945,7 +956,8 @@ int main(int argc, char** argv) {
       // Run the optimized program for real on the thread executor and merge
       // the flight-recorder capture with the cost calculus' predictions.
       // Input: p blocks of small integers — safe for every arithmetic op in
-      // the catalog (products stay in {-1, 0, 1}).
+      // the catalog (products stay in {-1, 0, 1}).  The block is m clamped
+      // to 4096 elements; the report states the block that ran.
       const auto block =
           static_cast<std::size_t>(std::clamp(machine.m, 1.0, 4096.0));
       Rng rng(0x7c01);
@@ -988,6 +1000,7 @@ int main(int argc, char** argv) {
         ropts.model_stage_times.push_back(
             model::stage_cost(*stage).eval(machine));
       ropts.wall_seconds = run->wall_seconds;
+      ropts.block = block;
       ropts.used_packed = run->used_packed;
       ropts.timing = rt::RepeatStats::of(samples_ms, warmup);
       rt_rep = rt::build_report(run->rt, ropts);
