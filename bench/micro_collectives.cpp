@@ -42,7 +42,20 @@ void BM_Bcast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Bcast)->Args({4, 64})->Args({4, 4096})->Args({8, 1024})
-    ->Unit(benchmark::kMicrosecond);
+    ->Args({64, 1024})->Args({256, 1024})->Unit(benchmark::kMicrosecond);
+
+void BM_BcastRooted(benchmark::State& state) {
+  // Root p-1: every rank looks up a schedule that is not the root-0 one.
+  const int p = static_cast<int>(state.range(0));
+  const auto block = make_block(static_cast<std::size_t>(state.range(1)));
+  for (auto _ : state) {
+    mpsim::run_spmd(p, [&](mpsim::Comm& comm) {
+      benchmark::DoNotOptimize(bcast(comm, block, p - 1));
+    });
+  }
+}
+BENCHMARK(BM_BcastRooted)->Args({8, 1024})->Args({64, 1024})
+    ->Args({256, 1024})->Unit(benchmark::kMicrosecond);
 
 void BM_Allreduce(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
@@ -57,8 +70,8 @@ void BM_Allreduce(benchmark::State& state) {
     });
   }
 }
-BENCHMARK(BM_Allreduce)->Args({4, 1024})->Args({8, 1024})
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Allreduce)->Args({4, 1024})->Args({8, 1024})->Args({64, 1024})
+    ->Args({256, 1024})->Unit(benchmark::kMicrosecond);
 
 void BM_Scan(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
@@ -73,7 +86,22 @@ void BM_Scan(benchmark::State& state) {
     });
   }
 }
-BENCHMARK(BM_Scan)->Args({4, 1024})->Args({8, 1024})
+BENCHMARK(BM_Scan)->Args({4, 1024})->Args({8, 1024})->Args({64, 1024})
+    ->Args({256, 1024})->Unit(benchmark::kMicrosecond);
+
+void BM_Alltoall(benchmark::State& state) {
+  // p^2 steps in the schedule, p - 1 of them per rank and direction.
+  const int p = static_cast<int>(state.range(0));
+  const auto block = make_block(static_cast<std::size_t>(state.range(1)));
+  for (auto _ : state) {
+    mpsim::run_spmd(p, [&](mpsim::Comm& comm) {
+      benchmark::DoNotOptimize(alltoall(
+          comm, std::vector<std::vector<double>>(static_cast<std::size_t>(p),
+                                                 block)));
+    });
+  }
+}
+BENCHMARK(BM_Alltoall)->Args({8, 16})->Args({64, 16})->Args({256, 16})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_ScanBalancedOpSs(benchmark::State& state) {
@@ -93,7 +121,7 @@ void BM_ScanBalancedOpSs(benchmark::State& state) {
     });
   }
 }
-BENCHMARK(BM_ScanBalancedOpSs)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ScanBalancedOpSs)->Arg(4)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 void BM_OpSr2Apply(benchmark::State& state) {
   const auto op = rules::make_op_sr2(ir::op_mul(), ir::op_add());

@@ -3,6 +3,7 @@
 #include "colop/ir/overlap.h"
 #include "colop/simnet/schedules.h"
 #include "colop/support/bits.h"
+#include "colop/support/error.h"
 
 namespace colop::exec {
 namespace {
@@ -130,6 +131,15 @@ void sim_stage(const ir::Stage& stage, simnet::SimMachine& mach, double m,
 void run_on_simnet(const ir::Program& prog, simnet::SimMachine& mach, double m,
                    SimSchedules sched,
                    const std::function<void(const SimSpan&)>& on_span) {
+  COLOP_REQUIRE(sched.bcast == Algo::bcast_butterfly ||
+                    sched.bcast == Algo::bcast_binomial ||
+                    sched.bcast == Algo::bcast_vdg ||
+                    sched.bcast == Algo::bcast_pipelined,
+                "SimSchedules: .bcast must be a bcast_* algorithm");
+  COLOP_REQUIRE(sched.reduce == Algo::allreduce_butterfly ||
+                    sched.reduce == Algo::reduce_binomial ||
+                    sched.reduce == Algo::allreduce_vdg,
+                "SimSchedules: .reduce must be a reduce or allreduce one");
   const int p = mach.size();
   const auto windows = ir::overlap_windows(prog);
   auto w = windows.begin();

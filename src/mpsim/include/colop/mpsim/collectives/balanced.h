@@ -18,7 +18,6 @@
 //       rank has no partner in a phase (partner id >= p): the paper keeps
 //       the first tuple component and marks the rest undefined.
 
-#include <algorithm>
 #include <cstddef>
 #include <type_traits>
 #include <utility>
@@ -78,22 +77,21 @@ template <typename T, typename Op2, typename Degrade,
   const int tag = comm.next_collective_tag();
   const Schedule& s = shared_schedule(Algo::scan_balanced, p);
 
-  for (std::size_t i = 0; i < s.rounds(); ++i) {
-    const auto round = s.round(i);
-    const auto mine = std::find_if(round.begin(), round.end(),
-                                   [&](const Step& st) { return st.dst == r; });
-    if (mine == round.end()) {
-      // No partner this phase: keep the scan component, the auxiliary
-      // components become undefined (paper: op((s,t,u,v), ()) = ((s,_,_,_),())).
-      value = degrade(std::move(value));
-      continue;
-    }
+  // A round in which this rank receives nothing has no partner for it:
+  // keep the scan component, the auxiliary components become undefined
+  // (paper: op((s,t,u,v), ()) = ((s,_,_,_),())).
+  std::size_t done = 0;  // rounds this rank has finished
+  for (const Visit& v : s.parts[static_cast<std::size_t>(r)]) {
+    if (v.send) continue;
+    for (; done < v.round; ++done) value = degrade(std::move(value));
+    ++done;
+    const Step& st = s.steps[v.step];
     if constexpr (std::is_same_v<Strip, std::nullptr_t>)
-      comm.send_raw(mine->src, value, tag);
+      comm.send_raw(st.src, value, tag);
     else
-      comm.send_raw(mine->src, strip(value), tag);
-    T other = comm.recv_raw<T>(mine->src, tag);
-    if (mine->land == Land::upper) {
+      comm.send_raw(st.src, strip(value), tag);
+    T other = comm.recv_raw<T>(st.src, tag);
+    if (st.land == Land::upper) {
       auto [lo, hi] = op2(std::move(value), std::move(other));
       value = std::move(lo);
     } else {
@@ -101,6 +99,7 @@ template <typename T, typename Op2, typename Degrade,
       value = std::move(hi);
     }
   }
+  for (; done < s.rounds(); ++done) value = degrade(std::move(value));
   return value;
 }
 

@@ -64,10 +64,8 @@ template <typename T, typename Op>
   // The pre-fold hands the value over; exchanges and the post-fold keep it.
   walk(shared_schedule(Algo::allreduce_butterfly, p), comm.rank(),
        [&](const Step& st) {
-         if (st.pair || st.land == Land::replace)
-           comm.send_raw(st.dst, value, tag);
-         else
-           comm.send_raw(st.dst, std::move(value), tag);
+         const bool keep = st.pair || st.land == Land::replace;
+         comm.send_raw(st.dst, keep ? T(value) : std::move(value), tag);
        },
        [&](const Step& st) {
          value = land(st, std::move(value), comm.recv_raw<T>(st.src, tag), op);

@@ -93,10 +93,8 @@ template <typename E>
   walk(s, comm.rank(),
        [&](const Step& st) {
          auto& seg = segs[static_cast<std::size_t>(st.lo)];
-         if (at_root)
-           comm.send_raw(st.dst, std::move(seg), tag);
-         else
-           comm.send_raw(st.dst, seg, tag);
+         comm.send_raw(st.dst, at_root ? std::move(seg) : std::vector<E>(seg),
+                       tag);
        },
        [&](const Step& st) {
          segs[static_cast<std::size_t>(st.lo)] =

@@ -10,14 +10,14 @@
 // order; a step flagged `pair` and the next one (its mirror b -> a) form
 // one exchange over one link.
 //
-// The mpsim collectives (collectives/*.h) walk their own rank's steps on
-// real data; simnet::price (simnet/schedules.h) charges the same value on
+// A schedule also carries each rank's part, its steps in that order, so
+// the mpsim collectives (collectives/*.h) walk only their own rank's steps
+// on real data; simnet::price (simnet/schedules.h) charges the same value on
 // virtual clocks.  A new algorithm is one Algo value and one generator
 // case in schedule.cpp; simnet prices it with no code of its own.
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -61,17 +61,24 @@ struct Step {
   bool pair = false;
 };
 
+/// One entry of a rank's part of a schedule: it sends `step`, or it
+/// receives or works on it, in round `round`.
+struct Visit {
+  std::size_t step = 0;
+  std::size_t round = 0;
+  bool send = false;
+};
+
 struct Schedule {
   int p = 1;
   int segments = 1;  ///< a block is cut into this many equal segments
   std::vector<Step> steps;        ///< all rounds, back to back
   std::vector<std::size_t> ends;  ///< ends[i]: one past round i's last step
+  /// parts[r]: rank r's visits in walk order, per round its sends, then
+  /// its receives and local steps, each in step order.
+  std::vector<std::vector<Visit>> parts;
 
   [[nodiscard]] std::size_t rounds() const noexcept { return ends.size(); }
-  [[nodiscard]] std::span<const Step> round(std::size_t i) const {
-    const std::size_t begin = i == 0 ? 0 : ends[i - 1];
-    return {steps.data() + begin, ends[i] - begin};
-  }
 };
 
 struct Spec {
@@ -90,16 +97,12 @@ struct Spec {
                                               const Spec& spec = {});
 
 /// Walk `rank`'s part of `s`: per round, `send(step)` for each step it
-/// sends, then `recv(step)` for each step it receives or works on.
+/// sends, then `recv(step)` for each step it receives or works on.  Visits
+/// only the rank's own steps.
 template <typename Send, typename Recv>
 void walk(const Schedule& s, int rank, Send&& send, Recv&& recv) {
-  for (std::size_t i = 0; i < s.rounds(); ++i) {
-    const auto round = s.round(i);
-    for (const Step& st : round)
-      if (st.src == rank && st.land != Land::local) send(st);
-    for (const Step& st : round)
-      if (st.dst == rank) recv(st);
-  }
+  for (const Visit& v : s.parts[static_cast<std::size_t>(rank)])
+    v.send ? send(s.steps[v.step]) : recv(s.steps[v.step]);
 }
 
 /// Land a received value on this rank's own as `st` says.

@@ -1,11 +1,12 @@
 #include "colop/mpsim/schedule.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "colop/mpsim/balanced_tree.h"
 #include "colop/support/bits.h"
@@ -24,13 +25,6 @@ struct Builder {
     step(ba);
   }
   void end_round() { s.ends.push_back(s.steps.size()); }
-  Builder& then(const Schedule& t) {
-    const std::size_t base = s.steps.size();
-    s.segments = t.segments;
-    s.steps.insert(s.steps.end(), t.steps.begin(), t.steps.end());
-    for (const std::size_t e : t.ends) s.ends.push_back(base + e);
-    return *this;
-  }
 };
 
 /// Round k pairs virtual ranks v and v ^ 2^k (both < q; real(v) maps them
@@ -53,16 +47,15 @@ void butterfly(Builder& b, int q, Real real, Land at_hi, int ops_hi,
 
 int same(int r) { return r; }
 
-}  // namespace
-
-Schedule schedule(Algo algo, int p, const Spec& spec) {
+/// Append `algo`'s rounds to `b`; a composed algorithm appends its parts in
+/// turn (the parts that cut the block agree on the segment count).
+void generate(Builder& b, Algo algo, int p, const Spec& spec = {}) {
   COLOP_REQUIRE(p >= 1, "schedule: need at least one rank");
   const int root = spec.root;
   COLOP_REQUIRE(root >= 0 && root < p,
                 "collective: invalid root " + std::to_string(root) +
                     " for p=" + std::to_string(p));
   auto real = [&](int v) { return (v + root) % p; };  // virtual rank 0 = root
-  Builder b{{.p = p}};
   switch (algo) {
     case Algo::bcast_binomial:
       for (int mask = 1; mask < p; mask <<= 1) {
@@ -70,16 +63,15 @@ Schedule schedule(Algo algo, int p, const Spec& spec) {
           b.step({.src = real(v), .dst = real(v + mask)});
         b.end_round();
       }
-      return b.s;
+      return;
     case Algo::bcast_butterfly:
       // A rank holds the value once its virtual rank is below 2^(k+1);
       // ranks without a partner (partner >= p) idle.
       butterfly(b, p, real, Land::replace, 0, 0);
-      return b.s;
+      return;
     case Algo::bcast_vdg:
-      return b.then(schedule(Algo::scatter_binomial, p, spec))
-          .then(schedule(Algo::allgather_bruck, p))
-          .s;
+      generate(b, Algo::scatter_binomial, p, spec);
+      return generate(b, Algo::allgather_bruck, p);
     case Algo::bcast_pipelined:
       COLOP_REQUIRE(spec.segments >= 1,
                     "bcast_pipelined: need at least one segment");
@@ -89,7 +81,7 @@ Schedule schedule(Algo algo, int p, const Spec& spec) {
           b.step({.src = real(v), .dst = real(v + 1), .lo = k});
           b.end_round();
         }
-      return b.s;
+      return;
     case Algo::reduce_binomial:
     case Algo::reduce_balanced:
       if (algo == Algo::reduce_binomial) {
@@ -120,7 +112,7 @@ Schedule schedule(Algo algo, int p, const Spec& spec) {
         b.step({.src = 0, .dst = root});
         b.end_round();
       }
-      return b.s;
+      return;
     case Algo::allreduce_butterfly: {
       // Among the first 2*rem ranks odd ones fold into their even
       // neighbour, q = 2^k run the butterfly, the folded ranks get the
@@ -134,27 +126,25 @@ Schedule schedule(Algo algo, int p, const Spec& spec) {
                 Land::lower, 1, 1);
       for (int r = 0; r < 2 * rem; r += 2) b.step({.src = r, .dst = r + 1});
       if (rem > 0) b.end_round();
-      return b.s;
+      return;
     }
     case Algo::allreduce_vdg:
-      return b.then(schedule(Algo::reduce_scatter_halving, p))
-          .then(schedule(Algo::allgather_bruck, p))
-          .s;
+      generate(b, Algo::reduce_scatter_halving, p);
+      return generate(b, Algo::allgather_bruck, p);
     case Algo::allreduce_balanced:
       // At 2^k the balanced tree is complete and the butterfly computes it
       // on every rank.
       if (is_pow2(static_cast<std::uint64_t>(p)))
-        return schedule(Algo::allreduce_butterfly, p);
-      return b.then(schedule(Algo::reduce_balanced, p))
-          .then(schedule(Algo::bcast_binomial, p))
-          .s;
+        return generate(b, Algo::allreduce_butterfly, p);
+      generate(b, Algo::reduce_balanced, p);
+      return generate(b, Algo::bcast_binomial, p);
     case Algo::scan_butterfly:
       // The upper partner updates prefix and total, the lower its total.
       butterfly(b, p, same, Land::lower, 2, 1);
-      return b.s;
+      return;
     case Algo::scan_balanced:
       butterfly(b, p, same, Land::lower, 1, 1);
-      return b.s;
+      return;
     case Algo::scan_doubling:
     case Algo::exscan_doubling:
       // After round d a rank holds the last 2d inputs up to its own.  An
@@ -165,7 +155,7 @@ Schedule schedule(Algo algo, int p, const Spec& spec) {
                   .ops = algo == Algo::exscan_doubling && d > 1 ? 2 : 1});
         b.end_round();
       }
-      return b.s;
+      return;
     case Algo::scatter_binomial:
       // At mask, virtual rank v (v % 2mask == 0) ships the upper part
       // [v + mask, min(v + 2mask, p)) of the segments it serves.
@@ -177,7 +167,7 @@ Schedule schedule(Algo algo, int p, const Spec& spec) {
                   .len = std::min(v + 2 * mask, p) - v - mask});
         b.end_round();
       }
-      return b.s;
+      return;
     case Algo::gather_binomial:
       b.s.segments = p;
       for (int mask = 1; mask < p; mask <<= 1) {
@@ -186,7 +176,7 @@ Schedule schedule(Algo algo, int p, const Spec& spec) {
                   .len = std::min(mask, p - v - mask)});
         b.end_round();
       }
-      return b.s;
+      return;
     case Algo::allgather_bruck:
       // Entering distance `step` a rank holds the values of ranks
       // [r, r + step) and sends the first min(step, p - step) to r - step.
@@ -197,7 +187,7 @@ Schedule schedule(Algo algo, int p, const Spec& spec) {
                   .len = std::min(step, p - step)});
         b.end_round();
       }
-      return b.s;
+      return;
     case Algo::reduce_scatter_halving:
       if (is_pow2(static_cast<std::uint64_t>(p))) {
         // Halving interleaves rank sets (the combine must commute); each
@@ -212,7 +202,7 @@ Schedule schedule(Algo algo, int p, const Spec& spec) {
                       .land = Land::upper, .ops = 1});
           b.end_round();
         }
-        return b.s;
+        return;
       }
       [[fallthrough]];
     case Algo::reduce_scatter_alltoall:
@@ -224,12 +214,12 @@ Schedule schedule(Algo algo, int p, const Spec& spec) {
                   .ops = algo == Algo::alltoall_pairwise ? 0 : 1});
         b.end_round();
       }
-      return b.s;
+      return;
     case Algo::comcast_naive:
     case Algo::comcast_repeat:
       // bcast, then rank k (relative to root) applies the step function k
       // times, or once per binary digit of k.
-      b.then(schedule(spec.bcast, p, {.root = root}));
+      generate(b, spec.bcast, p, {.root = root});
       for (int r = 0; r < p; ++r) {
         const int k = (r - root + p) % p;
         b.step({.src = r, .dst = r, .land = Land::local,
@@ -239,7 +229,7 @@ Schedule schedule(Algo algo, int p, const Spec& spec) {
                                  static_cast<std::uint64_t>(k)))});
       }
       b.end_round();
-      return b.s;
+      return;
     case Algo::comcast_costopt:
       // At step 2^k every rank i < 2^k computes o(s) (operator 0) for
       // i + 2^k, ships it, and keeps e(s) (operator 1).
@@ -253,31 +243,43 @@ Schedule schedule(Algo algo, int p, const Spec& spec) {
         }
         b.end_round();
       }
-      return b.s;
+      return;
   }
   COLOP_REQUIRE(false, "schedule: unknown algorithm");
-  return {};
+}
+
+}  // namespace
+
+Schedule schedule(Algo algo, int p, const Spec& spec) {
+  Builder b{{.p = p}};
+  generate(b, algo, p, spec);
+  // Sort every step into its ranks' parts in walk order.
+  Schedule& s = b.s;
+  s.parts.resize(static_cast<std::size_t>(p));
+  auto add = [&](int rank, std::size_t step, std::size_t round, bool send) {
+    s.parts[static_cast<std::size_t>(rank)].push_back({step, round, send});
+  };
+  for (std::size_t i = 0, begin = 0; i < s.rounds(); begin = s.ends[i++]) {
+    for (std::size_t k = begin; k < s.ends[i]; ++k)
+      if (s.steps[k].land != Land::local) add(s.steps[k].src, k, i, true);
+    for (std::size_t k = begin; k < s.ends[i]; ++k)
+      add(s.steps[k].dst, k, i, false);
+  }
+  return std::move(s);
 }
 
 const Schedule& shared_schedule(Algo algo, int p, const Spec& spec) {
-  // Every rank thread asks on every collective call: a default-spec
-  // schedule at p <= 64 costs one atomic load, any other one a lock.
-  constexpr int kSlotP = 64;
-  static std::atomic<const Schedule*>
-      slots[static_cast<int>(Algo::comcast_costopt) + 1][kSlotP]{};
-  static std::mutex mu;
+  // std::map never moves a kept schedule.
+  static std::shared_mutex mu;
   static std::map<std::tuple<Algo, int, int, int, Algo>, Schedule> kept;
-  std::atomic<const Schedule*>* slot = nullptr;
-  if (spec.root == 0 && spec.segments == 1 && spec.bcast == Spec{}.bcast &&
-      p >= 1 && p <= kSlotP) {
-    slot = &slots[static_cast<int>(algo)][p - 1];
-    if (const Schedule* s = slot->load(std::memory_order_acquire)) return *s;
-  }
-  const std::lock_guard lock(mu);
   const auto key = std::tuple{algo, p, spec.root, spec.segments, spec.bcast};
+  {  // every rank thread looks up at every collective: readers share
+    const std::shared_lock read(mu);
+    if (const auto it = kept.find(key); it != kept.end()) return it->second;
+  }
+  const std::lock_guard write(mu);
   auto it = kept.find(key);
   if (it == kept.end()) it = kept.emplace(key, schedule(algo, p, spec)).first;
-  if (slot != nullptr) slot->store(&it->second, std::memory_order_release);
   return it->second;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 namespace colop::simnet {
 
@@ -12,8 +13,8 @@ void price(SimMachine& mach, mpsim::Algo algo, double m, double w, double ops,
   const mpsim::Schedule s = mpsim::schedule(algo, mach.size(), spec);
   const double seg = m / s.segments;
   const double cost[2] = {ops, ops2};
-  for (std::size_t i = 0; i < s.rounds(); ++i) {
-    const auto round = s.round(i);
+  for (std::size_t i = 0, begin = 0; i < s.rounds(); begin = s.ends[i++]) {
+    const std::span round(s.steps.data() + begin, s.ends[i] - begin);
     for (std::size_t j = 0; j < round.size(); ++j) {
       const mpsim::Step& st = round[j];
       if (st.land == Land::local) continue;

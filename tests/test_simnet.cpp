@@ -240,5 +240,60 @@ TEST(SimExecutor, VdgSchedulesBeatButterflyForHugeBlocks) {
             exec::run_on_simnet(prog, tiny).time);
 }
 
+TEST(SimExecutor, RootedVdgAndPipelinedBcastsStartAtTheStageRoot) {
+  // As in mpsim, a rooted bcast stage scatters (vdg) or starts its chain
+  // (pipelined) at the stage's root.
+  const int p = 5;
+  const int root = 2;
+  const double m = 64;
+  for (const auto algo :
+       {mpsim::Algo::bcast_vdg, mpsim::Algo::bcast_pipelined}) {
+    const mpsim::Spec spec{
+        .root = root,
+        .segments = algo == mpsim::Algo::bcast_pipelined
+                        ? optimal_segments(p, m, kNet.ts, kNet.tw)
+                        : 1};
+    // From equal clocks every rank ends where the root-0 run's rank
+    // `root` places before it does.
+    SimMachine at0(p, kNet), rooted(p, kNet);
+    price(at0, algo, m, 1, 0, {.segments = spec.segments});
+    ir::Program bcast;
+    bcast.bcast(root);
+    exec::run_on_simnet(bcast, rooted, m, {.bcast = algo});
+    for (int r = 0; r < p; ++r)
+      EXPECT_DOUBLE_EQ(rooted.clock((r + root) % p), at0.clock(r))
+          << "rank " << r;
+
+    // After an uneven stage (a scan) the rooted schedule is what is priced,
+    // and it ends elsewhere than the root-0 one.
+    ir::Program prog;
+    prog.scan(ir::op_add()).bcast(root);
+    SimMachine run(p, kNet), want(p, kNet), want0(p, kNet);
+    exec::run_on_simnet(prog, run, m, {.bcast = algo});
+    for (SimMachine* mach : {&want, &want0})
+      price(*mach, mpsim::Algo::scan_butterfly, m, 1, 1);
+    price(want, algo, m, 1, 0, spec);
+    price(want0, algo, m, 1, 0, {.segments = spec.segments});
+    for (int r = 0; r < p; ++r)
+      EXPECT_DOUBLE_EQ(run.clock(r), want.clock(r)) << "rank " << r;
+    EXPECT_NE(run.makespan(), want0.makespan());
+  }
+}
+
+TEST(SimExecutor, RejectsAlgorithmsOutsideEachStageFamily) {
+  ir::Program prog;
+  prog.reduce(ir::op_add()).bcast();
+  const model::Machine mach{.p = 4, .m = 8, .ts = 100, .tw = 2};
+  EXPECT_THROW((void)exec::run_on_simnet(
+                   prog, mach, {.bcast = mpsim::Algo::scan_butterfly}),
+               Error);
+  EXPECT_THROW((void)exec::run_on_simnet(
+                   prog, mach, {.reduce = mpsim::Algo::scan_butterfly}),
+               Error);
+  EXPECT_THROW((void)exec::run_on_simnet(
+                   prog, mach, {.reduce = mpsim::Algo::reduce_balanced}),
+               Error);
+}
+
 }  // namespace
 }  // namespace colop::simnet
